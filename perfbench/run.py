@@ -15,7 +15,7 @@ Workloads (``BENCHMARK.json`` says why each exists):
     through a new ``ArtifactCache`` object (disk hits, no in-process
     memory).
 ``fleet_canary``
-    ``run_fleet_population`` with 32 dies and 192 requests on ``serial``.
+    ``run_fleet_population`` with 8 dies and 48 requests on ``serial``.
     Set-up trains the inversek2j float baseline into a fresh cache.  Each
     cold repetition starts from a fresh copy of that primed cache, so it
     profiles every die and selects oracle canaries.  A warm rerun runs
@@ -27,7 +27,8 @@ Workloads (``BENCHMARK.json`` says why each exists):
     store and journal, and must recall every task.
 
 The timed phase repeats one cold repetition followed by warm reruns worth a
-fifth of its time, until ``--seconds`` are used (at least once).  With
+fifth of its time (at least one).  When no further cold repetition fits in
+``--seconds``, warm reruns fill the rest of the window instead.  With
 ``--trace 0`` the last line is the end-to-end result: set-up time (median of
 several set-ups), cold wall time (median), warm rerun time (median), peak
 resident memory of the timed phase.  With ``--trace 1`` the same untraced measurement runs
@@ -70,9 +71,9 @@ DIGESTS = HERE / "digests.json"
 
 #: Set-up repetitions per run; ``setup_s`` is their median.
 SETUP_REPEATS = 5
-#: Warm reruns after one cold repetition stop after this many, or once they
-#: took a fifth of the cold repetition's time.
-WARM_REPEATS_MAX = 25
+#: Warm reruns after a cold repetition take this share of its time, unless
+#: they fill the rest of the window.
+WARM_SHARE = 0.2
 #: Modules a user of the drivers imports; timed in a fresh interpreter.
 IMPORTS = (
     "import repro.experiments.fig10_error_vs_voltage, "
@@ -198,8 +199,8 @@ class FleetCanary(Workload):
     cold_state = "fresh copy of the set-up cache (baseline only; every die profiled)"
     warm_state = "cache filled by the cold run, new cache object (profiles recalled)"
 
-    dies = 32
-    requests = 192
+    dies = 8
+    requests = 48
 
     def setup(self, scratch: Path) -> Path:
         """Train the float baseline into a fresh cache (the cold runs' template)."""
@@ -381,34 +382,42 @@ def measure(workload, seconds: float, scratch: Path, checks: Checks):
     print(f"phase setup: {SETUP_REPEATS} repetitions, "
           f"{[round(t, 4) for t in setup_times]} s (plus import, timed below)")
 
-    # iterations of one cold repetition followed by warm reruns worth a fifth
-    # of it, so both kinds of sample span the whole measured window
+    # cold repetitions, each followed by warm reruns, so both kinds of sample
+    # span the measured window; once no further cold repetition fits, warm
+    # reruns fill the rest of the window (the whole tail on fig10_cold, where
+    # one cold repetition takes most of it)
     reset_peak_rss()
     cold_times: list[float] = []
     warm_times: list[float] = []
     cold_table = None
-    start = time.perf_counter()
+    deadline = time.perf_counter() + seconds
+    warm_block = 0.0
     while True:
-        began = time.perf_counter()
         elapsed, (outcome, warm_root) = timed(workload.cold, scratch, state)
         cold_times.append(elapsed)
         checks.outcome("cold", outcome)
         if cold_table is None:
             cold_table = outcome.table
         checks.same("cold repetition", outcome.table, cold_table)
-        print(f"phase cold #{len(cold_times)}: {elapsed:.4f} s, {workload.cold_state}; {outcome.state}")
-        warm_budget = elapsed / 5
-        for rerun in range(WARM_REPEATS_MAX):
+        print(f"phase cold #{len(cold_times)}: {elapsed:.4f} s, {workload.cold_state}; {outcome.state}; "
+              f"peak RSS so far {peak_rss_mb():.2f} MB")
+        # the next cold repetition and its warm reruns would end past the deadline
+        last = time.perf_counter() + elapsed + max(elapsed * WARM_SHARE, warm_block) > deadline
+        began = time.perf_counter()
+        warm_until = deadline if last else began + elapsed * WARM_SHARE
+        reruns = 0
+        while True:
             warm_s, outcome = timed(workload.warm, warm_root)
             warm_times.append(warm_s)
+            reruns += 1
             checks.outcome("warm", outcome)
             checks.same("warm vs cold", outcome.table, cold_table)
-            warm_budget -= warm_s
-            if warm_budget <= 0:
+            if time.perf_counter() + (warm_s if last else 0) > warm_until:
                 break
-        print(f"phase warm: {rerun + 1} reruns, {workload.warm_state}; {outcome.state}")
-        iteration = time.perf_counter() - began
-        if time.perf_counter() - start >= seconds - iteration / 2:
+        warm_block = time.perf_counter() - began
+        print(f"phase warm: {reruns} reruns, {workload.warm_state}; {outcome.state}; "
+              f"peak RSS so far {peak_rss_mb():.2f} MB")
+        if last:
             break
 
     peak = peak_rss_mb()
