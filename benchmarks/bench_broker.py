@@ -18,6 +18,9 @@ broker backend sells:
 3. **degraded** — a coordinator pointed at an unreachable broker address
    must drain the sweep inline (serially, full retry semantics) instead of
    hanging, and still match the serial reference bit for bit.
+4. **poison** — one task raises on every attempt; with ``retries=1`` it is
+   quarantined after exactly 2 attempts while every healthy result is
+   delivered intact.
 
 Run from the repository root::
 
@@ -43,7 +46,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from _bench_records import append_record  # noqa: E402
 from repro.experiments.broker import BrokerBackend  # noqa: E402
 from repro.experiments.cache import ArtifactCache  # noqa: E402
-from repro.experiments.engine import SweepRunner, expand_grid  # noqa: E402
+from repro.experiments.engine import (  # noqa: E402
+    QuarantinedTask,
+    SweepRunner,
+    expand_grid,
+)
 from repro.experiments.faults import (  # noqa: E402
     DropConnection,
     FaultPlan,
@@ -163,18 +170,55 @@ def bench_degraded(store: ArtifactCache) -> dict:
     }
 
 
+def _flaky_worker(shared, task):
+    if task.voltage == shared["bad"]:
+        raise RuntimeError("injected poison")
+    return task.voltage * 2.0
+
+
+def bench_poison(store: ArtifactCache) -> dict:
+    tasks = expand_grid(voltages=(0.42, 0.46, 0.50, 0.54, 0.58), seed=5)
+    shared = {"bad": 0.50}
+    backend = _broker_backend(store, backoff=0.02)
+    runner = SweepRunner(
+        workers=2,
+        backend=backend,
+        shard_store=store,
+        sweep_label="bench-broker-poison",
+        retries=1,
+    )
+    start = time.perf_counter()
+    results = runner.map(_flaky_worker, tasks, shared=shared)
+    poison_seconds = time.perf_counter() - start
+    poisoned = [r for r in results if isinstance(r, QuarantinedTask)]
+    healthy_ok = [
+        r for r in results if not isinstance(r, QuarantinedTask)
+    ] == [t.voltage * 2.0 for t in tasks if t.voltage != shared["bad"]]
+    return {
+        "grid_tasks": len(tasks),
+        "retries": 1,
+        "poisoned_tasks": len(poisoned),
+        "poison_attempts": poisoned[0].attempts if poisoned else None,
+        "poison_error": poisoned[0].errors[-1] if poisoned else None,
+        "healthy_results_intact": healthy_ok,
+        "poison_seconds": round(poison_seconds, 6),
+    }
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="repro-bench-broker-") as cache_dir:
         store = ArtifactCache(root=Path(cache_dir) / "cache")
         broker_chaos, reference = bench_broker_chaos(store)
         resume = bench_resume(store, reference)
         degraded = bench_degraded(store)
+        poison = bench_poison(store)
 
     session = {
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "broker_chaos": broker_chaos,
         "resume": resume,
         "degraded": degraded,
+        "poison": poison,
     }
     append_record(
         RECORD_PATH,
@@ -184,6 +228,7 @@ def main() -> int:
             "latest_bit_identical": broker_chaos["bit_identical"],
             "latest_broker_restarts": broker_chaos["broker_restarts"],
             "latest_resume_recomputed": resume["recomputed_tasks"],
+            "latest_poisoned": poison["poisoned_tasks"],
         },
     )
     print(json.dumps(session, indent=2))
@@ -215,6 +260,17 @@ def main() -> int:
         )
     if not degraded["bit_identical"]:
         failures.append("degraded (inline) run diverged from the serial reference")
+    if poison["poisoned_tasks"] != 1:
+        failures.append(
+            f"expected exactly 1 quarantined task, got {poison['poisoned_tasks']}"
+        )
+    if poison["poison_attempts"] != 2:
+        failures.append(
+            f"poison task took {poison['poison_attempts']} attempts, "
+            "expected retries + 1 = 2"
+        )
+    if not poison["healthy_results_intact"]:
+        failures.append("poisoning one task disturbed the healthy results")
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     return 1 if failures else 0

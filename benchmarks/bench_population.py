@@ -231,7 +231,7 @@ def bench_quarantine_rendering(cache_dir: str) -> dict:
             "--words-per-bank", str(GEOMETRY["words_per_bank"]),
             "--num-samples", str(NUM_SAMPLES),
             "--seed", str(SEED),
-            "--backend", "queue", "--workers", "1",
+            "--backend", "broker", "--workers", "1",
             "--retries", "0", "--backoff", "0.05",
             "--cache-dir", cache_dir,
         ],

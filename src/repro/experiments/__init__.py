@@ -30,12 +30,11 @@ tasks that run serially or on a multiprocessing pool with identical results,
 and heavyweight artifacts (float baselines, memory-adaptive fine-tuning,
 topology-sweep fits) are memoized by the content-addressed artifact cache
 (:mod:`repro.experiments.cache`).  For sweeps that must survive worker
-death, the elastic queue backend (:mod:`repro.experiments.queue`) adds
-lease-based claiming, retries with quarantine, and zero-recompute resume;
-the socket broker (:mod:`repro.experiments.broker`) serves the same
-semantics over TCP for fleets with no shared filesystem; and
-:mod:`repro.experiments.faults` is the deterministic chaos harness for
-both — process-level (kill/delay/no-heartbeat/poison) and wire-level
+death, the socket broker backend (:mod:`repro.experiments.broker`) adds
+lease-based claiming, retries with quarantine, and zero-recompute resume
+over TCP, so fleets need no shared filesystem; and
+:mod:`repro.experiments.faults` is its deterministic chaos harness —
+process-level (kill/delay/no-heartbeat/poison) and wire-level
 (drop-connection/partition/delay-ack/kill-broker) rules.
 
 The engine/cache/common core is imported eagerly; the nine driver modules
@@ -82,7 +81,6 @@ from .engine import (
     SweepRunner,
     SweepTask,
     TaskTimeoutError,
-    ThreadBackend,
     WorkerCrashedError,
     expand_grid,
     resolve_backend,
@@ -100,7 +98,7 @@ from .faults import (
     PoisonTask,
     SuppressHeartbeat,
 )
-from .queue import QueueBackend
+
 #: Lazily exported attributes: name -> submodule that defines it.  Mostly
 #: driver entry points; also BrokerBackend, whose module is runnable
 #: (``python -m repro.experiments.broker serve``) and therefore must not be
@@ -163,7 +161,6 @@ __all__ = [
     "PreparedBenchmark",
     "ProcessBackend",
     "QuarantinedTask",
-    "QueueBackend",
     "RetryingWorker",
     "SerialBackend",
     "ShardIncompleteError",
@@ -174,7 +171,6 @@ __all__ = [
     "SweepRunner",
     "SweepTask",
     "TaskTimeoutError",
-    "ThreadBackend",
     "WorkerCrashedError",
     "cache_digest",
     "collect_shard_results",

@@ -1,15 +1,18 @@
-"""Socket-broker sweep service: the directory queue for hosts with no shared disk.
+"""Socket-broker sweep service: the fault-tolerant sweep backend.
 
-``BrokerBackend`` is the fifth :class:`~repro.experiments.engine.SweepBackend`
-and the distributed sibling of :class:`~repro.experiments.queue.QueueBackend`:
-the same lease-based claims, heartbeat renewal, expired-lease stealing,
-exponential backoff with deterministic jitter, and poison quarantine — but
-coordinated by a tiny dependency-free TCP broker instead of a shared
-directory, so any host that can open a socket can join a fleet.  The retry
-mathematics are not merely similar: both backends call the *same*
-:func:`~repro.experiments.queue.fail_transition` and judge leases with the
-same :func:`~repro.experiments.cache.lease_expired`, so a task's retry
-trajectory is bit-identical whichever transport carries it.
+``BrokerBackend`` is the :class:`~repro.experiments.engine.SweepBackend` that
+keeps its promises when workers are SIGKILLed, OOMed, hung, partitioned, or
+added and removed mid-flight: lease-based claims, heartbeat renewal,
+expired-lease stealing, exponential backoff with deterministic jitter, and
+poison quarantine, coordinated by a tiny dependency-free TCP broker so any
+host that can open a socket can join a fleet.  Every failed attempt goes
+through one :func:`fail_transition` and every lease is judged by
+:func:`~repro.experiments.cache.lease_expired`, so a task's retry trajectory
+is the same whether the broker or the coordinator's inline drain ran it.
+Completed results publish through the artifact cache (kind
+``sweep-shard``) and quarantined tasks through the poison store (kind
+``sweep-poison``); :func:`recall_settled` reads both, which is why a
+restarted coordinator resumes with zero recomputation.
 
 Wire protocol
 -------------
@@ -66,12 +69,14 @@ finite so nothing hangs forever.  Degradation is graceful at every layer: a
 worker that cannot renew past its lease deadline *abandons* the task (the
 broker re-leases it; the worker's store publish, if any, is absorbed
 idempotently); an embedded broker that dies is restarted by the coordinator
-(up to ``max_broker_restarts``) on the same port; a coordinator that can
-never reach its broker — or whose restart budget is spent — drains the
-remaining tasks inline with full retry/quarantine semantics rather than
-hanging.  Chaos for all of this is injected by plan via the wire-level
-rules in :mod:`repro.experiments.faults` (``drop-connection``,
-``partition``, ``delay-ack``, ``kill-broker``).
+(up to ``max_broker_restarts``) on the same port within one poll round —
+the coordinator's own polls try a dead socket only twice before its
+liveness check runs, so recovery does not wait out the reconnect window; a
+coordinator that can never reach its broker — or whose restart budget is
+spent — drains the remaining tasks inline with full retry/quarantine
+semantics rather than hanging.  Chaos for all of this is injected by plan
+via the wire-level rules in :mod:`repro.experiments.faults`
+(``drop-connection``, ``partition``, ``delay-ack``, ``kill-broker``).
 
 Standalone usage::
 
@@ -113,12 +118,12 @@ from .engine import (
     DEFAULT_BACKOFF,
     QuarantinedTask,
     SweepTask,
+    retry_delay,
     store_label,
     task_digest,
     worker_identity,
 )
 from .faults import NULL_INJECTOR, FaultPlan
-from .queue import DEFAULT_QUEUE_RETRIES, fail_transition, recall_settled
 
 __all__ = [
     "BrokerBackend",
@@ -127,12 +132,19 @@ __all__ = [
     "BrokerServer",
     "BrokerUnreachable",
     "DEFAULT_PORT",
+    "DEFAULT_QUEUE_RETRIES",
+    "fail_transition",
     "parse_address",
     "main",
+    "recall_settled",
 ]
 
 #: Default port for ``python -m repro.experiments.broker serve``.
 DEFAULT_PORT = 7464
+
+#: Default retry budget (used when the runner leaves it unset): unlike the
+#: in-process backends, retrying here is what the backend is *for*.
+DEFAULT_QUEUE_RETRIES = 2
 
 _SWEEP_ID = re.compile(r"^[A-Za-z0-9_-]{1,64}$")
 
@@ -146,6 +158,69 @@ def _encode(value: Any) -> str:
 
 def _decode(text: str) -> Any:
     return pickle.loads(base64.b64decode(text.encode("ascii")))
+
+
+def fail_transition(
+    record: dict[str, Any],
+    error: str,
+    retries: int,
+    backoff: float,
+    now: float | None = None,
+) -> tuple[str, dict[str, Any]]:
+    """The one requeue-or-quarantine decision for a failed attempt.
+
+    Given a task record ``{task, digest, attempts, errors, ...}`` and the
+    error that failed this attempt, returns either ``("requeue", record')``
+    — attempts incremented, the error appended, and ``not_before`` pushed to
+    now + :func:`~repro.experiments.engine.retry_delay` (exponential backoff
+    with deterministic per-digest jitter) — or, once ``attempts > retries``,
+    ``("poison", payload)`` where the payload is store-shaped
+    ``{task, digest, attempts, errors}``.  The broker server journals the
+    outcome and the coordinator's inline drain applies the same transition,
+    so a task's retry trajectory does not depend on which of them ran it.
+    """
+    now = time.time() if now is None else now
+    digest = record["digest"]
+    attempts = record.get("attempts", 0) + 1
+    errors = [*record.get("errors", []), error]
+    if attempts > int(retries):
+        return "poison", {
+            "task": record.get("task"),
+            "digest": digest,
+            "attempts": attempts,
+            "errors": tuple(errors),
+        }
+    return "requeue", {
+        **record,
+        "attempts": attempts,
+        "errors": errors,
+        "not_before": now + retry_delay(backoff, digest, attempts),
+    }
+
+
+def recall_settled(
+    store: ArtifactCache, label: str, worker_name: str, digest: str
+) -> tuple[str, Any] | None:
+    """Look a task up in the store's terminal states.
+
+    Returns ``("result", value)`` for a published result, ``("poison",
+    QuarantinedTask)`` for a quarantined task, or ``None`` while the task is
+    still unsettled.  This is the single source of truth for "is this task
+    done?" — workers use it to skip re-execution, and the coordinator uses
+    it to recall prior work at zero recomputation.
+    """
+    payload = store.get(SHARD_RESULT_KIND, shard_result_key(label, worker_name, digest))
+    if payload is not None:
+        return "result", payload["result"]
+    payload = store.get(POISON_KIND, poison_key(label, worker_name, digest))
+    if payload is not None:
+        return "poison", QuarantinedTask(
+            task=payload.get("task"),
+            digest=digest,
+            attempts=int(payload.get("attempts", 0)),
+            errors=tuple(payload.get("errors", ())),
+        )
+    return None
 
 
 def parse_address(spec: str | Sequence[Any]) -> tuple[str, int]:
@@ -216,8 +291,7 @@ class BrokerServer(socketserver.ThreadingTCPServer):
     """The TCP task broker: per-sweep lease state + an append-only journal.
 
     One instance serves any number of sweeps concurrently (state is keyed by
-    sweep id, exactly like the directory queue keys its per-sweep
-    directories).  All mutation happens under one lock — requests are short
+    sweep id).  All mutation happens under one lock — requests are short
     and the journal append is a single unbuffered write, so the lock is
     never held across anything slow.  On construction every
     ``<journal_dir>/*.journal`` is replayed, restoring pending tasks,
@@ -780,13 +854,12 @@ class _BrokerWorkerConfig:
 class _WireHeartbeat(threading.Thread):
     """Daemon thread renewing one lease over the wire while the task runs.
 
-    Mirrors the directory queue's heartbeat with one addition: if renewals
-    have been *unreachable* (not merely refused) for longer than the lease
-    horizon, the broker has certainly re-leased the task — ``lost`` is set
-    and the worker abandons the completion ack (its store publish, if any,
-    is absorbed idempotently).  A *refused* renewal means the lease was
+    If renewals have been *unreachable* (not merely refused) for longer than
+    the lease horizon, the broker has certainly re-leased the task —
+    ``lost`` is set and the worker abandons the completion ack (its store
+    publish, if any, is absorbed idempotently).  A *refused* renewal means the lease was
     stolen while the broker is healthy: renewal stops, execution finishes,
-    and the publish stays idempotent, exactly like the queue.
+    and the publish stays idempotent.
     """
 
     def __init__(
@@ -898,7 +971,7 @@ class _BrokerWorker:
             # was lost: settle the broker from the store, skip re-execution
             self._complete(digest, found[1], record.get("attempts", 0) + 1)
             return
-        # settled-check first, injection second (mirroring the queue worker):
+        # settled-check first, injection second:
         # a straggler delay injected here stalls a task that *will* execute,
         # which is what forces the steal + duplicate-absorption path
         self.injector.on_claim(self.completed)  # may SIGKILL / straggle / partition
@@ -1055,9 +1128,9 @@ class _EmbeddedBroker:
 class BrokerBackend:
     """Socket-distributed elastic sweep backend (leases, retries, quarantine).
 
-    Satisfies the ``SweepBackend`` protocol with the directory queue's exact
+    Satisfies the ``SweepBackend`` protocol with lease/retry/quarantine
     semantics — results publish through the artifact ``store`` under
-    ``sweep_label`` so resubmission recomputes nothing — but coordination
+    ``sweep_label`` so resubmission recomputes nothing — and coordination
     rides a TCP broker, so workers need no shared filesystem.
 
     Two modes:
@@ -1074,9 +1147,11 @@ class BrokerBackend:
       never reach it falls back to draining the sweep inline (serially,
       with full retry/quarantine semantics) instead of hanging.
 
-    After each submission :attr:`last_stats` reports the queue backend's
-    counters plus ``broker_restarts``; :attr:`quarantined` lists the
-    :class:`QuarantinedTask` sentinels yielded in place of results.
+    After each submission :attr:`last_stats` reports the sweep's counters
+    (``recalled``, ``enqueued``, ``quarantined``, ``worker_deaths``,
+    ``respawns``, ``inline_drained``, ``broker_restarts``);
+    :attr:`quarantined` lists the :class:`QuarantinedTask` sentinels
+    yielded in place of results.
     """
 
     address: str | tuple[str, int] | None = None
@@ -1305,12 +1380,16 @@ class BrokerBackend:
             unreachable_rounds = 0
             while positions:
                 progressed = False
+                # an embedded broker's liveness is checked below every round:
+                # a dead one must be restarted there, not waited out over the
+                # client's whole reconnect window
                 reply = client.try_call(
                     {
                         "op": "collect",
                         "sweep": config.sweep_id,
                         "digests": sorted(positions),
-                    }
+                    },
+                    attempts=2 if broker is not None else None,
                 )
                 if reply is not None:
                     unreachable_rounds = 0

@@ -54,19 +54,15 @@ the budget again.  The same operations are exposed on the command line::
     python -m repro.experiments.cache evict --budget 512M
     python -m repro.experiments.cache verify [--remove]
 
-Coordination primitives
------------------------
-The fault-tolerant queue backend (:mod:`repro.experiments.queue`) builds
-its worker-coordination protocol on the same filesystem guarantees this
-module already relies on: :func:`acquire_lease` claims a task atomically
-(``O_CREAT | O_EXCL`` via a hard link of a fully written temp file, so a
-lease is never observable half-written), :func:`renew_lease` refreshes the
-heartbeat deadline with the same atomic-replace idiom as :meth:`put`, and
-:func:`steal_lease` takes an expired lease with ``os.replace`` so exactly
-one of N concurrent stealers wins.  Quarantined (poison) tasks are ordinary
-content-addressed artifacts under the ``sweep-poison`` kind
-(:data:`POISON_KIND`/:func:`poison_key`), so resume, dedup, ``stats``, and
-``prune`` all treat them like any other artifact.
+Sweep-service records
+---------------------
+The fault-tolerant broker backend (:mod:`repro.experiments.broker`)
+publishes completed task results under the ``sweep-shard`` kind and
+quarantined (poison) tasks under the ``sweep-poison`` kind
+(:data:`POISON_KIND`/:func:`poison_key`) — ordinary content-addressed
+artifacts, so resume, dedup, ``stats``, and ``prune`` all treat them like
+any other artifact.  Its leases are :func:`new_lease` dicts judged by
+:func:`lease_expired`.
 """
 
 from __future__ import annotations
@@ -76,7 +72,6 @@ import json
 import math
 import os
 import pickle
-import threading
 import tempfile
 import time
 import warnings
@@ -92,19 +87,14 @@ __all__ = [
     "CacheStats",
     "POISON_KIND",
     "SHARD_RESULT_KIND",
-    "acquire_lease",
     "cache_digest",
     "collect_shard_results",
     "default_cache",
     "lease_expired",
     "new_lease",
     "poison_key",
-    "read_lease",
-    "release_lease",
-    "renew_lease",
     "set_default_cache",
     "shard_result_key",
-    "steal_lease",
     "parse_age",
     "parse_size",
     "main",
@@ -226,10 +216,6 @@ class ArtifactCache:
         self.root = Path(self.root)
         self._stores_since_sweep = 0
         self._memory: dict[str, Any] = {}
-        # the in-process layer is shared across ThreadBackend workers (the
-        # cache rides inside their shared payload), so its check-then-evict
-        # bookkeeping needs a lock; disk I/O stays lock-free (atomic replace)
-        self._memory_lock = threading.Lock()
 
     # ----------------------------------------------------------- plumbing
 
@@ -244,8 +230,7 @@ class ArtifactCache:
         digest = cache_digest(key)
         memory_key = f"{kind}/{digest}"
         path = self._path(kind, digest)
-        with self._memory_lock:
-            memory_value = self._memory.get(memory_key, _MISS)
+        memory_value = self._memory.get(memory_key, _MISS)
         if memory_value is not _MISS:
             # refresh the disk mtime on memory hits too: mtime is the LRU
             # signal for prune/evict_to_budget, and an artifact served from
@@ -316,15 +301,13 @@ class ArtifactCache:
         return value
 
     def _remember(self, memory_key: str, value: Any) -> None:
-        with self._memory_lock:
-            while len(self._memory) >= self.memory_items:
-                self._memory.pop(next(iter(self._memory)))
-            self._memory[memory_key] = value
+        while len(self._memory) >= self.memory_items:
+            self._memory.pop(next(iter(self._memory)))
+        self._memory[memory_key] = value
 
     def clear_memory(self) -> None:
         """Drop the in-process layer (disk artifacts stay)."""
-        with self._memory_lock:
-            self._memory.clear()
+        self._memory.clear()
 
     # -------------------------------------------------------- maintenance
 
@@ -404,8 +387,7 @@ class ArtifactCache:
                 continue
             # evict exactly the deleted artifact from the in-process layer
             # (a no-op for .tmp files, whose names are not memory keys)
-            with self._memory_lock:
-                self._memory.pop(f"{kind}/{path.stem}", None)
+            self._memory.pop(f"{kind}/{path.stem}", None)
             removed += 1
             freed += stat.st_size
         return removed, freed
@@ -512,8 +494,7 @@ class ArtifactCache:
                 path.unlink()
             except OSError:
                 continue
-            with self._memory_lock:
-                self._memory.pop(f"{kind_name}/{path.stem}", None)
+            self._memory.pop(f"{kind_name}/{path.stem}", None)
             total -= size
             removed += 1
             freed += size
@@ -569,8 +550,7 @@ class ArtifactCache:
                         path.unlink()
                     except OSError:
                         pass
-                    with self._memory_lock:
-                        self._memory.pop(f"{kind_name}/{path.stem}", None)
+                    self._memory.pop(f"{kind_name}/{path.stem}", None)
         return corrupt
 
     def __getstate__(self) -> dict:
@@ -579,13 +559,8 @@ class ArtifactCache:
         state = self.__dict__.copy()
         state["_memory"] = {}
         state["stats"] = CacheStats()
-        del state["_memory_lock"]  # locks don't pickle; recreated on unpickle
+        state["_stores_since_sweep"] = 0
         return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._memory_lock = threading.Lock()
-        self._stores_since_sweep = 0
 
 
 # ------------------------------------------------------------- shard merges
@@ -608,7 +583,7 @@ def shard_result_key(sweep: str, worker: str, task_digest: str) -> dict[str, str
     return {"sweep": str(sweep), "worker": str(worker), "task": str(task_digest)}
 
 
-#: Artifact kind for tasks the queue backend quarantined after exhausting
+#: Artifact kind for tasks the broker backend quarantined after exhausting
 #: their retry budget.  A poison entry is the task's terminal state: resumes
 #: and concurrent sweeps recall it instead of re-executing a task that is
 #: known to fail, and the coordinator reports it in the merged result rather
@@ -647,16 +622,11 @@ def collect_shard_results(
     return found, missing
 
 
-# ------------------------------------------------------------- lease files
+# ------------------------------------------------------------------ leases
 #
-# The queue backend's mutual-exclusion primitive.  A lease is a small JSON
-# file next to the queued task; holding it means "this worker is executing
-# the task".  The protocol needs exactly three filesystem guarantees, all of
-# which the artifact store already depends on: atomic create-if-absent
-# (claim), atomic replace (heartbeat renewal), and atomic rename (steal).
-# Readers therefore always see a complete lease or none — never a torn one —
-# and an unreadable lease can safely be treated as expired, because stealing
-# it is itself atomic (exactly one stealer wins the rename).
+# A lease means "this worker is executing the task".  The broker keeps one
+# per claimed task in memory and journals it; ``lease_expired`` decides when
+# a peer may steal it.
 
 
 def new_lease(
@@ -669,9 +639,8 @@ def new_lease(
 
     ``heartbeat_deadline`` starts at now + ``lease_seconds`` and is pushed
     forward by renewals; ``hard_deadline`` (the ``--task-timeout`` bound) is
-    absolute and never renewed.  Shared by the directory queue (which writes
-    it to a lease file) and the socket broker (which keeps it in memory and
-    journals it) so :func:`lease_expired` judges both identically.
+    absolute and never renewed.  The broker keeps it in memory and journals
+    it; :func:`lease_expired` judges it.
     """
     now = time.time() if now is None else now
     return {
@@ -680,51 +649,6 @@ def new_lease(
         "heartbeat_deadline": now + float(lease_seconds),
         "hard_deadline": float(hard_deadline) if hard_deadline is not None else None,
     }
-
-
-def acquire_lease(
-    path: Path | str,
-    owner: str,
-    lease_seconds: float,
-    hard_deadline: float | None = None,
-) -> bool:
-    """Atomically claim a lease file; ``True`` iff this caller created it.
-
-    The lease is written to a temp file first and linked into place with
-    ``os.link`` (atomic create-if-absent *with* content, unlike a bare
-    ``O_CREAT | O_EXCL`` open followed by a write, which would expose an
-    empty lease between the two syscalls).  See :func:`new_lease` for the
-    deadline semantics.
-    """
-    payload = json.dumps(new_lease(owner, lease_seconds, hard_deadline))
-    path = Path(path)
-    temp_name = None
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        handle, temp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        with os.fdopen(handle, "w") as temp_file:
-            temp_file.write(payload)
-        os.link(temp_name, path)
-    except FileExistsError:
-        return False
-    except OSError:
-        return False
-    finally:
-        if temp_name is not None:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-    return True
-
-
-def read_lease(path: Path | str) -> dict[str, Any] | None:
-    """The lease's JSON payload, or None (absent, unreadable, or corrupt)."""
-    try:
-        payload = json.loads(Path(path).read_text())
-    except (OSError, ValueError):
-        return None
-    return payload if isinstance(payload, dict) else None
 
 
 def lease_expired(
@@ -741,67 +665,8 @@ def lease_expired(
     if isinstance(hard, (int, float)) and now > hard:
         return True
     # a lease carrying neither deadline is malformed; holding it forever
-    # would deadlock the queue, so it counts as expired too
+    # would deadlock the sweep, so it counts as expired too
     return not isinstance(heartbeat, (int, float)) and not isinstance(hard, (int, float))
-
-
-def renew_lease(path: Path | str, owner: str, lease_seconds: float) -> bool:
-    """Push the heartbeat deadline forward if ``owner`` still holds the lease.
-
-    Returns ``False`` when the lease was stolen (or the rewrite failed) —
-    the worker keeps executing regardless, because publishing the result is
-    idempotent; the thief merely re-runs the task redundantly.
-    """
-    path = Path(path)
-    lease = read_lease(path)
-    if lease is None or lease.get("owner") != str(owner):
-        return False
-    lease["heartbeat_deadline"] = time.time() + float(lease_seconds)
-    temp_name = None
-    try:
-        handle, temp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        with os.fdopen(handle, "w") as temp_file:
-            temp_file.write(json.dumps(lease))
-        os.replace(temp_name, path)
-    except OSError:
-        if temp_name is not None:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-        return False
-    return True
-
-
-def steal_lease(path: Path | str) -> dict[str, Any] | None:
-    """Atomically take a lease off its task: exactly one concurrent caller wins.
-
-    The winner receives the stolen lease's payload (``{}`` if unreadable) and
-    owns the requeue decision; losers (and calls on an already-stolen lease)
-    get ``None``.  Implemented as ``os.replace`` to a caller-unique name, so
-    there is no read-check-unlink window for two stealers to race through.
-    """
-    path = Path(path)
-    unique = f".steal-{os.getpid()}-{threading.get_ident()}-{time.monotonic_ns()}"
-    target = path.with_name(path.name + unique)
-    try:
-        os.replace(path, target)
-    except OSError:
-        return None
-    lease = read_lease(target) or {}
-    try:
-        os.unlink(target)
-    except OSError:
-        pass
-    return lease
-
-
-def release_lease(path: Path | str) -> None:
-    """Drop a lease (idempotent; releasing a stolen/absent lease is a no-op)."""
-    try:
-        os.unlink(path)
-    except OSError:
-        pass
 
 
 #: Last invalid $REPRO_CACHE_BUDGET value warned about (warn once per value).

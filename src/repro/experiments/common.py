@@ -24,7 +24,7 @@ Execution
 Grid-shaped drivers expand their operating points with
 :func:`~repro.experiments.engine.expand_grid` and execute them through a
 :class:`~repro.experiments.engine.SweepRunner` (pluggable serial /
-process-pool / thread-pool backends; see the engine module docstring for the
+process-pool / broker backends; see the engine module docstring for the
 worker model).  Drivers accept a ``runner`` argument so callers can share
 one pool — and one shard configuration — across experiments.
 
@@ -34,7 +34,7 @@ Every driver module is runnable (``python -m repro.experiments.<driver>``)
 and shares one execution vocabulary, wired through
 :func:`experiment_parser` / :func:`run_experiment_cli`:
 
-* ``--workers N`` / ``--backend {serial,process,thread,queue,broker}`` pick
+* ``--workers N`` / ``--backend {serial,process,broker}`` pick
   the execution backend (defaults honour ``$REPRO_SWEEP_WORKERS`` /
   ``$REPRO_SWEEP_BACKEND``); ``--broker host:port`` attaches the broker
   backend to an externally-served task broker;
@@ -44,7 +44,7 @@ and shares one execution vocabulary, wired through
   ``as_completed`` channel) instead of only the final table;
 * ``--retries/--task-timeout/--backoff`` configure the failure policy
   (retries work on every backend; timeouts need a backend that can preempt
-  a task — queue and process; see ``docs/robustness.md``).
+  a task — broker and process; see ``docs/robustness.md``).
 """
 
 from __future__ import annotations
@@ -308,7 +308,7 @@ def partition_quarantined(values: Iterable[Any]) -> tuple[list[Any], list[Any]]:
     """Split merged sweep results into (clean, quarantined) lists.
 
     Merged sweeps may contain :class:`~repro.experiments.engine.QuarantinedTask`
-    sentinels in place of results — the queue backend emits them once a
+    sentinels in place of results — the broker backend emits them once a
     task's retry budget is spent, and sharded merges recall them from the
     poison store.  Every driver's assembly path runs its ``runner.map``
     output through this helper so a poisoned task degrades to a marked
@@ -452,19 +452,19 @@ def experiment_parser(prog: str, description: str) -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="failed-task retry budget: attempt each task at most N+1 times. "
-        "honored on every backend (queue requeues with backoff and "
-        "quarantines once spent; serial/process/thread retry in-worker and "
-        "re-raise). default: 0 (queue backend: 2)",
+        "honored on every backend (broker requeues with backoff and "
+        "quarantines once spent; serial/process retry in-worker and "
+        "re-raise). default: 0 (broker backend: 2)",
     )
     group.add_argument(
         "--task-timeout",
         type=float,
         default=None,
         metavar="SECONDS",
-        help="per-task hang bound. queue backend: hard lease deadline after "
+        help="per-task hang bound. broker backend: hard lease deadline after "
         "which the task is stolen and requeued; process backend: stall "
         "detection (no completion within the window fails the sweep). "
-        "serial/thread backends cannot preempt a task and ignore it",
+        "the serial backend cannot preempt a task and ignores it",
     )
     group.add_argument(
         "--backoff",

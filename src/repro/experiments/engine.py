@@ -25,40 +25,33 @@ Execution is delegated to a :class:`SweepBackend`:
   payload is pickled once per worker (pool initializer) and the small task
   records are streamed; ``fn`` must be a module-level callable of
   ``(shared, task)`` so it can be pickled under any start method.
-* :class:`ThreadBackend` — a thread pool for inference-only tasks whose
-  hot loops release the GIL inside NumPy (no pickling at all; the shared
-  payload is handed to every thread by reference, so workers must treat it
-  as read-only).
-* ``QueueBackend`` (:mod:`repro.experiments.queue`) — the fault-tolerant
-  elastic backend: a shared-directory task queue with lease-based claims,
-  heartbeat renewal, work-stealing re-execution of dead workers' tasks, and
-  poison quarantine.  See :doc:`docs/robustness`.
-* ``BrokerBackend`` (:mod:`repro.experiments.broker`) — the queue's
-  socket-distributed sibling for hosts that share no filesystem: the same
-  lease/retry/quarantine semantics served by a TCP broker with an
-  append-only journal, so a killed broker restarts with zero lost claims.
+* ``BrokerBackend`` (:mod:`repro.experiments.broker`) — the fault-tolerant
+  elastic backend: a TCP broker with lease-based claims, heartbeat renewal,
+  work-stealing re-execution of dead workers' tasks, poison quarantine, and
+  an append-only journal, so a killed broker restarts with zero lost
+  claims.  See :doc:`docs/robustness`.
 
 ``SweepRunner(backend=...)`` accepts a backend name or instance; ``None``
 falls back to ``$REPRO_SWEEP_BACKEND`` and finally to ``"process"``.  A
 single worker (or ``parallel=False``, used by sweeps whose points
 intentionally share mutable state — the Fig. 12 temperature schedule walks
 one chip through a chamber) always takes the serial path, preserving
-in-order, in-process execution — except on the queue backend, whose
+in-order, in-process execution — except on the broker backend, whose
 publish/lease/resume semantics are the point even at one worker.  The
 worker count defaults to ``$REPRO_SWEEP_WORKERS`` or the CPU count.
 
 Robustness
 ----------
 ``SweepRunner(retries=..., task_timeout=..., backoff=...)`` configures the
-failure policy.  Retries are honored on *every* backend: the queue backend
+failure policy.  Retries are honored on *every* backend: the broker backend
 requeues failed tasks natively (with exponential backoff + deterministic
 jitter, see :func:`retry_delay`, then quarantines them as
-:class:`QuarantinedTask` once the budget is spent); the serial/process/
-thread backends wrap the worker in :class:`RetryingWorker`, which retries
-in place and re-raises once the budget is spent.  ``task_timeout`` needs a
-backend that can preempt a task, so it is honored by the queue backend (as
-the lease's hard deadline) and the process backend (as a stall detector
-raising :class:`TaskTimeoutError`); serial/thread backends document-ignore
+:class:`QuarantinedTask` once the budget is spent); the serial and process
+backends wrap the worker in :class:`RetryingWorker`, which retries in
+place and re-raises once the budget is spent.  ``task_timeout`` needs a
+backend that can preempt a task, so it is honored by the broker backend
+(as the lease's hard deadline) and the process backend (as a stall
+detector raising :class:`TaskTimeoutError`); the serial backend ignores
 it.  A process-pool worker killed by signal (SIGKILL, OOM) surfaces as
 :class:`WorkerCrashedError` naming the in-flight tasks instead of an opaque
 ``BrokenProcessPool``.
@@ -116,7 +109,6 @@ __all__ = [
     "SweepBackend",
     "SerialBackend",
     "ProcessBackend",
-    "ThreadBackend",
     "ShardSpec",
     "ShardIncompleteError",
     "QuarantinedTask",
@@ -135,7 +127,7 @@ _ENV_WORKERS = "REPRO_SWEEP_WORKERS"
 _ENV_BACKEND = "REPRO_SWEEP_BACKEND"
 
 #: Names accepted by ``SweepRunner(backend=...)`` and ``$REPRO_SWEEP_BACKEND``.
-BACKEND_NAMES = ("serial", "process", "thread", "queue", "broker")
+BACKEND_NAMES = ("serial", "process", "broker")
 
 #: Default base delay (seconds) between retry attempts; see :func:`retry_delay`.
 DEFAULT_BACKOFF = 0.5
@@ -381,7 +373,7 @@ def retry_delay(
 class QuarantinedTask:
     """A task withdrawn from the sweep after exhausting its retry budget.
 
-    The queue backend yields this *in place of* the task's result (and
+    The broker backend yields this *in place of* the task's result (and
     records it in the poison store), so a sweep with a poison task completes
     with an inspectable report instead of deadlocking or tearing down the
     whole grid.  Callers that must not silently consume one can check
@@ -406,10 +398,10 @@ class QuarantinedTask:
 class RetryingWorker:
     """Picklable wrapper retrying ``fn(shared, task)`` in place.
 
-    How the serial/process/thread backends honor ``SweepRunner(retries=)``:
+    How the serial and process backends honor ``SweepRunner(retries=)``:
     the retry loop runs *inside* the worker (sleeping :func:`retry_delay`
     between attempts), so those backends keep their execution model and
-    simply re-raise once the budget is spent.  The queue backend never sees
+    simply re-raise once the budget is spent.  The broker backend never sees
     this wrapper — it requeues failures natively, across workers, and is
     additionally able to retry tasks whose worker died rather than raised.
     """
@@ -471,7 +463,7 @@ class WorkerCrashedError(RuntimeError):
     """A pool worker died by signal (SIGKILL, OOM kill) mid-sweep.
 
     The process pool cannot tell which of its in-flight tasks the dead
-    worker held, so every task that never completed is listed.  The queue
+    worker held, so every task that never completed is listed.  The broker
     backend turns this exact failure into a lease expiry + requeue instead
     of an error — hence the suggestion.
     """
@@ -487,7 +479,7 @@ class WorkerCrashedError(RuntimeError):
             f"a {backend}-pool worker died by signal (SIGKILL/OOM) with "
             f"{len(self.in_flight)} task(s) in flight or queued: "
             f"{'; '.join(shown)}{more} — completed results are lost with the "
-            "pool; re-run with --backend queue for automatic recovery "
+            "pool; re-run with --backend broker for automatic recovery "
             "(expired leases requeue and surviving workers steal the work)"
         )
 
@@ -497,8 +489,8 @@ class TaskTimeoutError(RuntimeError):
 
     The process backend cannot preempt a single wedged task, so the timeout
     is a *stall* bound: wall-clock since the last completion (or since
-    submission).  The queue backend enforces the same flag per-task, as the
-    lease's hard deadline, and requeues instead of raising.
+    submission).  The broker backend enforces the same flag per-task, as
+    the lease's hard deadline, and requeues instead of raising.
     """
 
     def __init__(self, timeout: float, in_flight: Sequence[SweepTask]):
@@ -513,7 +505,7 @@ class TaskTimeoutError(RuntimeError):
             f"no task completed within --task-timeout {self.timeout:g}s; "
             f"{len(self.in_flight)} task(s) still in flight or queued: "
             f"{'; '.join(shown)}{more} — the process backend cannot requeue a "
-            "hung task; --backend queue steals its lease and retries it on a "
+            "hung task; --backend broker steals its lease and retries it on a "
             "surviving worker"
         )
 
@@ -579,8 +571,8 @@ class ProcessBackend:
     With ``task_timeout`` set, a pool that goes ``task_timeout`` seconds
     without completing anything raises :class:`TaskTimeoutError` (a stall
     detector — the pool cannot preempt one wedged task).  Either way the
-    remaining workers are torn down; only the queue backend can requeue and
-    survive.
+    remaining workers are torn down; only the broker backend can requeue
+    and survive.
     """
 
     name = "process"
@@ -648,36 +640,6 @@ class ProcessBackend:
         return stream()
 
 
-class ThreadBackend:
-    """Thread pool for workers whose hot loops release the GIL (NumPy).
-
-    Nothing is pickled: every thread sees the same shared payload object, so
-    workers must treat it as read-only (all the experiment drivers already
-    do — their workers copy networks before mutating them).
-    """
-
-    name = "thread"
-
-    def submit(self, fn, shared, tasks, workers, chunksize):
-        def stream() -> Iterator[tuple[int, Any]]:
-            pool = concurrent.futures.ThreadPoolExecutor(max_workers=workers)
-            try:
-                futures = {
-                    pool.submit(fn, shared, task): position
-                    for position, task in enumerate(tasks)
-                }
-                for future in concurrent.futures.as_completed(futures):
-                    yield futures[future], future.result()
-            except BaseException:
-                # a failing (or abandoned) sweep must not run the queued
-                # remainder to completion before the error reaches the caller
-                pool.shutdown(wait=False, cancel_futures=True)
-                raise
-            pool.shutdown()
-
-        return stream()
-
-
 def resolve_backend(
     spec: str | SweepBackend | None,
     mp_context: str | None = None,
@@ -695,18 +657,11 @@ def resolve_backend(
             return SerialBackend()
         if name == "process":
             return ProcessBackend(mp_context, task_timeout=task_timeout)
-        if name == "thread":
-            return ThreadBackend()
-        if name == "queue":
-            # local import: the queue module builds on the engine's tasks,
-            # digests, and retry policy, so the dependency points that way
-            from .queue import QueueBackend
-
-            return QueueBackend(mp_context=mp_context, task_timeout=task_timeout)
         if name == "broker":
-            # embedded-broker mode: the backend spawns (and supervises) its
-            # own broker subprocess; `--broker host:port` attaches to a live
-            # one instead (see repro.experiments.broker)
+            # local import: the broker builds on the engine's tasks, digests,
+            # and retry policy, so the dependency points that way.  Embedded
+            # mode: the backend spawns (and supervises) its own broker
+            # subprocess; `--broker host:port` attaches to a live one instead
             from .broker import BrokerBackend
 
             return BrokerBackend(mp_context=mp_context, task_timeout=task_timeout)
@@ -796,7 +751,7 @@ class SweepExecution:
     def close(self) -> None:
         """Abandon the submission without consuming the remaining results.
 
-        The backend stream's cleanup runs: pools shut down, and the queue
+        The backend stream's cleanup runs: pools shut down, and the broker
         backend signals its workers and leaves every already-published
         result in the store — resubmitting the same sweep later resumes
         from there.  Chaos tests use this to simulate a coordinator killed
@@ -814,14 +769,14 @@ class SweepRunner:
     Parameters
     ----------
     workers:
-        Worker processes/threads.  ``None`` → ``$REPRO_SWEEP_WORKERS`` or CPU
+        Worker processes.  ``None`` → ``$REPRO_SWEEP_WORKERS`` or CPU
         count.  1 (or a single-CPU host) always takes the in-process path.
     parallel:
         Master switch; ``False`` forces in-process serial execution
         regardless of ``workers``/``backend`` (used by sweeps whose points
         share mutable state).
     backend:
-        Backend name (``"serial"``/``"process"``/``"thread"``) or
+        Backend name (one of :data:`BACKEND_NAMES`) or
         :class:`SweepBackend` instance.  ``None`` → ``$REPRO_SWEEP_BACKEND``
         or ``"process"``.
     mp_context:
@@ -846,15 +801,15 @@ class SweepRunner:
         results included), not just the tasks executed by this run.
     retries:
         Failed-task retry budget: a task is attempted at most ``retries+1``
-        times.  Honored by every backend — the queue backend requeues (and
+        times.  Honored by every backend — the broker backend requeues (and
         quarantines once spent), the others retry in-worker via
         :class:`RetryingWorker` and re-raise once spent.  ``None`` → 0
-        (queue backend: its own default of 2).
+        (broker backend: its own default of 2).
     task_timeout:
-        Per-task hang bound in seconds.  Queue backend: the lease's hard
+        Per-task hang bound in seconds.  Broker backend: the lease's hard
         deadline, after which the task is stolen and requeued.  Process
-        backend: stall detection (:class:`TaskTimeoutError`).  Serial and
-        thread backends cannot preempt a running task and ignore it.
+        backend: stall detection (:class:`TaskTimeoutError`).  The serial
+        backend cannot preempt a running task and ignores it.
     backoff:
         Base delay between retry attempts (:func:`retry_delay` grows it
         exponentially with deterministic jitter).  ``None`` →
@@ -890,7 +845,7 @@ class SweepRunner:
             self.backend, self.mp_context, task_timeout=self.task_timeout
         )
         if getattr(backend, "queue_semantics", False) and self.parallel:
-            # never downgrade the queue backend to the in-process path: its
+            # never downgrade the broker backend to the in-process path: its
             # publish/lease/resume semantics are the point even at 1 worker
             # (parallel=False still wins — stateful sweeps must stay serial)
             backend.configure_from_runner(self)
@@ -1029,7 +984,7 @@ class SweepRunner:
             digest = digests[pending[local_position][0]]
             local[digest] = value
             if getattr(value, "is_quarantined", False):
-                # the queue backend already recorded the poison entry under
+                # the broker backend already recorded the poison entry under
                 # its own kind; a quarantine sentinel must never be stored
                 # as a task *result* (other shards would recall it as one)
                 continue
@@ -1058,7 +1013,7 @@ class SweepRunner:
         )
         # a task another shard quarantined has a poison entry instead of a
         # result; merging it as a QuarantinedTask (exactly what the local
-        # queue coordinator would yield) keeps poisoned sweeps mergeable
+        # broker coordinator would yield) keeps poisoned sweeps mergeable
         # rather than deadlocked on ShardIncompleteError
         poisoned: dict[str, QuarantinedTask] = {}
         for digest in unpublished:

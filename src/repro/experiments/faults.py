@@ -1,18 +1,18 @@
 """Deterministic fault injection for chaos-testing the elastic sweep service.
 
-The queue backend's whole value proposition — leases expire, tasks are
-stolen, sweeps survive dead workers — is unobservable on a healthy host.
-This module makes failure reproducible: a :class:`FaultPlan` is a seeded,
-picklable description of *which* worker misbehaves, *when*, and *how*, and
-the queue/broker workers consult their :class:`WorkerFaultInjector` at fixed
-hook points (task claim, heartbeat renewal, result publish, and — on the
-broker backend — every wire request).  Because kill points are counted in
+The broker backend's whole value proposition — leases expire, tasks are
+stolen, sweeps survive dead workers and dead brokers — is unobservable on a
+healthy host.  This module makes failure reproducible: a :class:`FaultPlan`
+is a seeded, picklable description of *which* worker misbehaves, *when*,
+and *how*, and the broker workers consult their :class:`WorkerFaultInjector`
+at fixed hook points (task claim, heartbeat renewal, result publish, and
+every wire request).  Because kill points are counted in
 completed tasks and all randomness is seeded, a chaos test that kills
 worker 0 after its first task does so on every run, on every host.
 
 Fault rules
 -----------
-Process-level rules (queue and broker workers):
+Process-level rules (broker workers):
 
 * :class:`KillWorker` — ``os.kill(getpid(), SIGKILL)`` after N completed
   tasks.  ``phase="claim"`` dies *after acquiring the next lease* (the
@@ -31,7 +31,8 @@ Process-level rules (queue and broker workers):
   deterministically quarantined once the retry budget is spent — the rule
   that exercises the ``QuarantinedTask`` rendering path end to end.
 
-Wire-level rules (broker backend, :mod:`repro.experiments.broker`):
+Wire-level rules (the broker client and server,
+:mod:`repro.experiments.broker`):
 
 * :class:`DropConnection` — the worker's broker client closes its socket
   right after sending a request, before reading the reply.  The reply is
@@ -54,14 +55,14 @@ Wire-level rules (broker backend, :mod:`repro.experiments.broker`):
 CLI injection
 -------------
 ``$REPRO_FAULT_PLAN`` carries a JSON-encoded plan into driver CLIs (the CI
-chaos-smoke job kills a ``fig09_sram --backend queue`` worker this way, and
-broker-smoke kills a live broker under a driver)::
+broker-smoke job kills a worker and a live broker under a driver this
+way)::
 
     REPRO_FAULT_PLAN='[{"kind": "kill", "worker": 0, "after_tasks": 1}]' \\
-        python -m repro.experiments.fig09_sram --figure a --backend queue
+        python -m repro.experiments.fig09_sram --figure a --backend broker
 
-Only queue/broker workers (and the broker server) consult the plan — the
-fault hooks live in their loops, so other backends ignore the variable.
+Only broker workers (and the broker server) consult the plan — the fault
+hooks live in their loops, so other backends ignore the variable.
 Malformed plans fail fast with the accepted grammar
 (:func:`rule_grammar`) instead of failing deep inside a worker.
 """
@@ -326,7 +327,7 @@ class FaultPlan:
         object.__setattr__(self, "rules", tuple(self.rules))
 
     def for_worker(self, index: int) -> "WorkerFaultInjector":
-        """The injector a queue/broker worker with this index should consult.
+        """The injector a broker worker with this index should consult.
 
         ``worker=-1`` on a rule is a wildcard: every worker in the fleet
         applies it (the coordinator's inline drain worker never consults a
@@ -402,9 +403,9 @@ class FaultPlan:
 
 
 class WorkerFaultInjector:
-    """One worker's slice of a fault plan, consulted at the queue hook points.
+    """One worker's slice of a fault plan, consulted at the worker hook points.
 
-    The queue/broker worker calls :meth:`on_claim` after acquiring a lease
+    The broker worker calls :meth:`on_claim` after acquiring a lease
     (before executing), :meth:`heartbeat_allowed` when deciding whether to
     start the renewal thread, and :meth:`on_publish` after a completed
     task's result landed.  The broker client additionally consults
@@ -455,7 +456,7 @@ class WorkerFaultInjector:
     def before_execute(self, task) -> None:
         """Hook inside the execution try-block; raising fails the *attempt*.
 
-        The queue worker treats the raise exactly like a worker-function
+        The broker worker treats the raise exactly like a worker-function
         exception: the task is requeued with backoff and quarantined once
         ``attempts > retries`` — never a crashed worker, never a deadlock.
         """

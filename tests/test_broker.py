@@ -1,18 +1,20 @@
-"""Chaos tests for the socket broker: wire protocol, journal, and backend.
+"""Chaos tests for the socket broker: leases, wire protocol, journal, backend.
 
-Three layers, tested bottom-up: the broker *protocol* (idempotent claims,
-stale fails, duplicate completions) against a live in-process server; the
-*journal* (a SIGKILLed broker restarts with zero lost claims and zero lost
-results, tolerating a torn final line); and the *backend* (real worker
-processes, partitions, dropped connections, and a broker killed mid-sweep —
-the merged map must stay bit-identical to :class:`SerialBackend` and a
-resume must recompute nothing).
+Four layers, tested bottom-up: the *lease* expiry rule and the fault-plan
+harness; the broker *protocol* (idempotent claims, stale fails, duplicate
+completions) against a live in-process server; the *journal* (a SIGKILLed
+broker restarts with zero lost claims and zero lost results, tolerating a
+torn final line); and the *backend* (real worker processes, partitions,
+dropped connections, and a broker killed mid-sweep — the merged map must
+stay bit-identical to :class:`SerialBackend`, a resume must recompute
+nothing, and a poisonous task is quarantined after exactly ``retries + 1``
+attempts instead of deadlocking the sweep).
 """
 
 from __future__ import annotations
 
-import json
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -23,10 +25,11 @@ from repro.experiments.broker import (
     BrokerError,
     BrokerServer,
     BrokerUnreachable,
+    DEFAULT_QUEUE_RETRIES,
     parse_address,
     _encode,
 )
-from repro.experiments.cache import ArtifactCache
+from repro.experiments.cache import ArtifactCache, lease_expired, new_lease
 from repro.experiments.engine import (
     QuarantinedTask,
     SweepRunner,
@@ -42,8 +45,8 @@ from repro.experiments.faults import (
     KillBroker,
     KillWorker,
     PartitionWorker,
+    SuppressHeartbeat,
 )
-from repro.experiments.queue import QueueBackend
 
 
 def _log_execution(log_path, tag):
@@ -77,6 +80,8 @@ def _logged_worker(shared, task):
 
 
 def _poison_worker(shared, task):
+    if "log" in shared:
+        _log_execution(shared["log"], f"{task.voltage}")
     if task.voltage == shared["bad"]:
         raise RuntimeError("injected poison")
     return task.voltage * 2.0
@@ -168,6 +173,107 @@ class TestParseAddress:
         for bad in ("localhost", "host:", ":80", "host:port"):
             with pytest.raises(ValueError, match="HOST:PORT"):
                 parse_address(bad)
+
+
+class TestLeases:
+    """The one expiry rule every steal decision rests on."""
+
+    def test_fresh_lease_not_expired(self):
+        assert lease_expired(new_lease("w0", 30.0)) is False
+
+    def test_missed_heartbeats_expire(self):
+        lease = new_lease("w0", 5.0)
+        assert lease["heartbeat_deadline"] > lease["acquired"]
+        assert lease["hard_deadline"] is None
+        assert lease_expired(lease, now=lease["heartbeat_deadline"] + 0.1) is True
+
+    def test_hard_deadline_survives_renewal(self, live_broker):
+        """--task-timeout is absolute: heartbeats cannot extend it."""
+        server, client = live_broker
+        _enqueue(client, 1)
+        claim = client.call(
+            {
+                "op": "claim",
+                "sweep": SWEEP,
+                "owner": "w0",
+                "lease_seconds": 5.0,
+                "hard_timeout": 0.5,
+            }
+        )
+        digest = claim["record"]["digest"]
+        renew = {
+            "op": "renew",
+            "sweep": SWEEP,
+            "digest": digest,
+            "lease_seconds": 3600.0,
+        }
+        assert client.call({**renew, "owner": "impostor"})["renewed"] is False
+        assert client.call({**renew, "owner": "w0"})["renewed"] is True
+        lease = server._sweeps[SWEEP].leases[digest]
+        assert lease["heartbeat_deadline"] > time.time() + 3000.0
+        assert lease_expired(lease, now=lease["hard_deadline"] + 0.1) is True
+
+    def test_malformed_lease_counts_as_expired(self):
+        assert lease_expired({"owner": "w0"}) is True  # no deadlines at all
+        assert lease_expired(None) is True
+
+
+class TestFaultPlan:
+    def _plan(self):
+        return FaultPlan(
+            rules=(
+                KillWorker(worker=0, after_tasks=1, phase="publish"),
+                DelayTask(worker=1, seconds=0.25, every=2),
+                SuppressHeartbeat(worker=2, after_tasks=1),
+            )
+        )
+
+    def test_json_round_trip(self):
+        plan = self._plan()
+        assert FaultPlan.from_json(plan.to_json()) == plan
+
+    def test_env_round_trip(self, monkeypatch):
+        plan = self._plan()
+        env: dict[str, str] = {}
+        plan.to_env(env)
+        monkeypatch.setenv(ENV_FAULT_PLAN, env[ENV_FAULT_PLAN])
+        assert FaultPlan.from_env() == plan
+
+    def test_from_env_absent(self, monkeypatch):
+        monkeypatch.delenv(ENV_FAULT_PLAN, raising=False)
+        assert FaultPlan.from_env() is None
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown fault kind"):
+            FaultPlan.from_json('[{"kind": "meteor", "worker": 0}]')
+
+    def test_kill_phase_validated(self):
+        with pytest.raises(ValueError, match="phase"):
+            KillWorker(worker=0, phase="mid-air")
+
+    def test_rules_dispatch_by_worker_index(self):
+        plan = self._plan()
+        # worker 2 is heartbeat-suppressed after 1 task; worker 0 is not
+        assert plan.for_worker(2).heartbeat_allowed(0) is True
+        assert plan.for_worker(2).heartbeat_allowed(1) is False
+        assert plan.for_worker(0).heartbeat_allowed(100) is True
+
+    def test_seeded_kill_point_is_deterministic(self):
+        rule = KillWorker(worker=0, after_tasks=None)
+        first = FaultPlan(rules=(rule,), seed=7).for_worker(0)._kill
+        second = FaultPlan(rules=(rule,), seed=7).for_worker(0)._kill
+        assert first == second
+        assert 1 <= first[0] <= 3
+
+    def test_delay_fires_every_nth_claim(self, monkeypatch):
+        naps: list[float] = []
+        monkeypatch.setattr(
+            "repro.experiments.faults.time.sleep", lambda s: naps.append(s)
+        )
+        injector = self._plan().for_worker(1)
+        for completed in range(4):
+            injector.on_claim(completed)
+        assert naps == [0.25, 0.25]  # claims 2 and 4 only
 
 
 class TestProtocol:
@@ -470,6 +576,98 @@ class TestBrokerBackend:
         assert second_backend.last_stats["enqueued"] == 0
         assert _log_counts(shared["log"]) == counts  # zero recomputation
 
+    def test_env_selects_broker_backend(self, monkeypatch, store):
+        monkeypatch.setenv("REPRO_SWEEP_BACKEND", "broker")
+        tasks = _grid(4)
+        shared = {"offset": 2}
+        runner = SweepRunner(workers=2, shard_store=store, sweep_label="env-broker")
+        results = runner.map(_draw_worker, tasks, shared=shared)
+        serial = SweepRunner(workers=1, backend="serial").map(
+            _draw_worker, tasks, shared=shared
+        )
+        assert results == serial
+
+    def test_one_worker_keeps_broker_semantics(self, store):
+        """SweepRunner must not downgrade the broker to in-process serial."""
+        tasks = _grid(3)
+        backend = _broker_backend(store)
+        results = _runner(backend, store, workers=1).map(
+            _draw_worker, tasks, shared={"offset": 0}
+        )
+        assert len(results) == 3
+        assert backend.last_stats["enqueued"] == 3  # the broker actually ran
+
+    def test_interrupted_coordinator_resumes_exactly_once(self, store, tmp_path):
+        """Kill the coordinator mid-sweep; the resume finishes the remainder.
+
+        Every task executes exactly once across both incarnations — the
+        interrupted run's published results are never recomputed.
+        """
+        tasks = _grid(8)
+        shared = {"offset": 5, "log": str(tmp_path / "executions.log")}
+        backend = _broker_backend(store)
+        execution = _runner(backend, store).submit(_logged_worker, tasks, shared=shared)
+        stream = execution.as_completed()
+        consumed = [next(stream) for _ in range(2)]
+        assert len(consumed) == 2
+        execution.close()  # the "coordinator killed mid-sweep" moment
+        # an abandoned sweep keeps its journal for the resume
+        assert list((store.root / "broker").glob("*.journal"))
+        resumed_backend = _broker_backend(store)
+        resumed = _runner(resumed_backend, store).map(
+            _logged_worker, tasks, shared=shared
+        )
+        reference = SweepRunner(workers=1).map(
+            _logged_worker,
+            tasks,
+            shared={"offset": 5, "log": str(tmp_path / "reference.log")},
+        )
+        assert resumed == reference
+        counts = _log_counts(shared["log"])
+        assert sorted(counts) == sorted(str(t.voltage) for t in tasks)
+        assert set(counts.values()) == {1}
+
+    def test_overlapping_sweeps_dedup_through_store(self, store, tmp_path):
+        """Two sweeps over overlapping grids share every common task."""
+        shared = {"offset": 2, "log": str(tmp_path / "executions.log")}
+        narrow = _grid(5)
+        _runner(_broker_backend(store), store).map(_logged_worker, narrow, shared=shared)
+        wide_backend = _broker_backend(store)
+        wide = _runner(wide_backend, store).map(_logged_worker, _grid(8), shared=shared)
+        assert len(wide) == 8
+        assert wide_backend.last_stats["recalled"] == 5
+        assert wide_backend.last_stats["enqueued"] == 3
+        counts = _log_counts(shared["log"])
+        assert len(counts) == 8 and set(counts.values()) == {1}
+
+    def test_suppressed_heartbeat_forces_steal(self, store, tmp_path):
+        """A partitioned-but-alive worker loses its lease; the sweep absorbs
+        the duplicate execution through idempotent publishes."""
+        plan = FaultPlan(
+            rules=(
+                SuppressHeartbeat(worker=0, after_tasks=0),
+                DelayTask(worker=0, seconds=1.0),
+            )
+        )
+        backend = _broker_backend(
+            store, lease_seconds=0.2, backoff=0.02, fault_plan=plan
+        )
+        tasks = _grid(3)
+        shared = {"offset": 9, "log": str(tmp_path / "executions.log")}
+        results = _runner(backend, store, workers=2).map(
+            _logged_worker, tasks, shared=shared
+        )
+        reference = SweepRunner(workers=1).map(
+            _logged_worker,
+            tasks,
+            shared={"offset": 9, "log": str(tmp_path / "reference.log")},
+        )
+        assert results == reference
+        assert backend.last_stats["worker_deaths"] == 0  # nobody died
+        counts = _log_counts(shared["log"])
+        assert sorted(counts) == sorted(str(t.voltage) for t in tasks)
+        assert max(counts.values()) >= 2  # the stalled task ran twice
+
     def test_kill_broker_restarts_without_recomputation(self, store, tmp_path):
         """SIGKILL the broker after journaling a completion (the ack is lost).
 
@@ -483,15 +681,20 @@ class TestBrokerBackend:
         )
         tasks = _grid(8)
         shared = {"offset": 3, "log": str(tmp_path / "executions.log")}
+        start = time.perf_counter()
         chaos = _runner(backend, store, workers=2).map(
             _logged_worker, tasks, shared=shared
         )
+        elapsed = time.perf_counter() - start
         serial = SweepRunner(workers=1).map(
             _logged_worker,
             tasks,
             shared={"offset": 3, "log": str(tmp_path / "reference.log")},
         )
         assert chaos == serial
+        # recovery is bounded by the lease horizon, not by the client's
+        # whole reconnect window
+        assert elapsed < backend.lease_seconds + 3.0
         assert backend.last_stats["broker_restarts"] == 1
         assert backend.last_stats["quarantined"] == 0
         counts = _log_counts(shared["log"])
@@ -622,23 +825,66 @@ class TestBrokerBackend:
         )
         poison = results[1]
         assert isinstance(poison, QuarantinedTask)
-        assert poison.attempts == 2  # exactly retries + 1, same as the queue
+        assert poison.attempts == 2  # exactly retries + 1, same as the fleet
         assert backend.last_stats["quarantined"] == 1
 
-    def test_poison_quarantined_after_exact_budget(self, store):
+    def test_poison_quarantined_after_exact_budget(self, store, tmp_path):
         tasks = _grid(5)
-        shared = {"offset": 0, "bad": tasks[2].voltage}
+        shared = {
+            "offset": 0,
+            "log": str(tmp_path / "attempts.log"),
+            "bad": tasks[2].voltage,
+        }
         backend = _broker_backend(store, backoff=0.02)
         results = _runner(backend, store, retries=1).map(
             _poison_worker, tasks, shared=shared
         )
         poison = results[2]
         assert isinstance(poison, QuarantinedTask)
-        assert poison.attempts == 2
+        assert poison.is_quarantined
+        assert poison.attempts == 2  # exactly retries + 1
         assert "injected poison" in poison.errors[-1]
+        assert f"voltage={tasks[2].voltage}" in poison.describe()
         healthy = [r for i, r in enumerate(results) if i != 2]
         assert healthy == [t.voltage * 2.0 for t in tasks if t is not tasks[2]]
+        assert backend.last_stats["quarantined"] == 1
         assert backend.quarantined == [poison]
+        assert _log_counts(shared["log"])[str(tasks[2].voltage)] == 2
+
+    def test_poison_default_retry_budget(self, store, tmp_path):
+        tasks = _grid(3)
+        shared = {
+            "offset": 0,
+            "log": str(tmp_path / "attempts.log"),
+            "bad": tasks[0].voltage,
+        }
+        backend = _broker_backend(store, backoff=0.01)
+        results = _runner(backend, store).map(_poison_worker, tasks, shared=shared)
+        assert results[0].attempts == DEFAULT_QUEUE_RETRIES + 1
+        assert _log_counts(shared["log"])[str(tasks[0].voltage)] == (
+            DEFAULT_QUEUE_RETRIES + 1
+        )
+
+    def test_poison_recalled_without_retrying(self, store, tmp_path):
+        """A quarantined task is settled: resumes report it, never re-run it."""
+        tasks = _grid(4)
+        shared = {
+            "offset": 0,
+            "log": str(tmp_path / "attempts.log"),
+            "bad": tasks[1].voltage,
+        }
+        first = _runner(_broker_backend(store, backoff=0.01), store, retries=1).map(
+            _poison_worker, tasks, shared=shared
+        )
+        counts = _log_counts(shared["log"])
+        backend = _broker_backend(store)
+        second = _runner(backend, store, retries=1).map(
+            _poison_worker, tasks, shared=shared
+        )
+        assert second == first
+        assert backend.last_stats["enqueued"] == 0
+        assert backend.last_stats["quarantined"] == 1
+        assert _log_counts(shared["log"]) == counts
 
     def test_no_leaked_threads_or_processes(self, store):
         """Every sweep — healthy or degraded — must stop what it started."""
@@ -661,6 +907,12 @@ class TestBrokerBackend:
         with pytest.raises(ValueError, match="REPRO_CACHE_DISABLE"):
             _runner(backend, None).map(_draw_worker, _grid(2), shared={"offset": 0})
 
+    def test_undigestable_shared_needs_label(self, store):
+        backend = _broker_backend(store)
+        runner = SweepRunner(backend=backend, workers=1, sweep_label="")
+        with pytest.raises(ValueError, match="sweep_label"):
+            runner.map(_draw_worker, _grid(2), shared={"offset": object()})
+
     def test_runner_configuration_adopted(self, store):
         backend = BrokerBackend()
         runner = SweepRunner(
@@ -681,33 +933,27 @@ class TestBrokerBackend:
 
 
 class TestBackendEquivalenceMatrix:
-    def test_serial_queue_broker_identical(self, tmp_path):
-        """The fig9a-shaped proof: three transports, one bit-identical table."""
+    def test_serial_process_broker_identical(self, tmp_path):
+        """The fig9a-shaped proof: three backends, one bit-identical table."""
         from repro.experiments import run_fig9a
 
         voltages = np.array([0.46, 0.52])
+        store = ArtifactCache(root=tmp_path / "cache")
+        broker = BrokerBackend(
+            store=store,
+            journal_dir=store.root / "broker",
+            poll_seconds=0.01,
+            connect_backoff=0.02,
+        )
+        runners = (
+            SweepRunner(workers=1, backend="serial"),
+            SweepRunner(workers=2, backend="process"),
+            SweepRunner(
+                workers=2, backend=broker, shard_store=store, sweep_label="matrix"
+            ),
+        )
         rows = []
-        for name in ("serial", "queue", "broker"):
-            store = ArtifactCache(root=tmp_path / f"cache-{name}")
-            if name == "serial":
-                runner = SweepRunner(workers=1)
-            else:
-                backend: object = (
-                    QueueBackend(store=store, poll_seconds=0.01)
-                    if name == "queue"
-                    else BrokerBackend(
-                        store=store,
-                        journal_dir=store.root / "broker",
-                        poll_seconds=0.01,
-                        connect_backoff=0.02,
-                    )
-                )
-                runner = SweepRunner(
-                    workers=2,
-                    backend=backend,
-                    shard_store=store,
-                    sweep_label=f"matrix-{name}",
-                )
+        for runner in runners:
             result = run_fig9a(voltages=voltages, num_words=96, runner=runner)
             rows.append(
                 [

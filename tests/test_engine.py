@@ -19,10 +19,10 @@ from repro.experiments.engine import (
     SweepRunner,
     SweepTask,
     TaskTimeoutError,
-    ThreadBackend,
     WorkerCrashedError,
     expand_grid,
     resolve_backend,
+    retry_delay,
     store_label,
     worker_identity,
 )
@@ -140,23 +140,24 @@ class TestBackends:
     def test_all_backends_bit_identical(self):
         serial = self._mini_sweep(SweepRunner(workers=1, backend="serial"))
         process = self._mini_sweep(SweepRunner(workers=3, backend="process"))
-        thread = self._mini_sweep(SweepRunner(workers=3, backend="thread"))
-        assert serial == process == thread
+        assert serial == process
         assert [r["value"] for r in serial] == [v**2 + 4 for v in range(9)]
 
     def test_backend_instances_accepted(self):
-        runner = SweepRunner(workers=3, backend=ThreadBackend())
+        runner = SweepRunner(workers=3, backend=ProcessBackend())
         assert self._mini_sweep(runner) == self._mini_sweep(SweepRunner(workers=1))
 
     def test_env_override_selects_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SWEEP_BACKEND", "thread")
-        assert isinstance(resolve_backend(None), ThreadBackend)
+        from repro.experiments.broker import BrokerBackend
+
+        monkeypatch.setenv("REPRO_SWEEP_BACKEND", "broker")
+        assert isinstance(resolve_backend(None), BrokerBackend)
         monkeypatch.setenv("REPRO_SWEEP_BACKEND", "serial")
         assert isinstance(resolve_backend(None), SerialBackend)
         monkeypatch.delenv("REPRO_SWEEP_BACKEND")
         assert isinstance(resolve_backend(None), ProcessBackend)
         # an explicit argument beats the environment
-        monkeypatch.setenv("REPRO_SWEEP_BACKEND", "thread")
+        monkeypatch.setenv("REPRO_SWEEP_BACKEND", "broker")
         assert isinstance(resolve_backend("process"), ProcessBackend)
 
     def test_unknown_backend_rejected(self):
@@ -184,7 +185,7 @@ class TestBackends:
         assert runner.tasks_run == 5
 
     @pytest.mark.parametrize("backend,workers", [
-        ("serial", 1), ("process", 3), ("thread", 3),
+        ("serial", 1), ("process", 3),
     ])
     def test_as_completed_streams_every_backend(self, backend, workers):
         tasks = expand_grid(params=[{"value": v} for v in range(7)], seed=2)
@@ -216,11 +217,10 @@ class TestBackends:
 
     def test_map_is_ordered_on_unordered_backends(self):
         tasks = expand_grid(params=[{"value": v} for v in range(16)], seed=9)
-        for backend in ("process", "thread"):
-            results = SweepRunner(workers=4, backend=backend).map(
-                _square_worker, tasks, shared={"offset": 0}
-            )
-            assert [r["index"] for r in results] == list(range(16))
+        results = SweepRunner(workers=4, backend="process").map(
+            _square_worker, tasks, shared={"offset": 0}
+        )
+        assert [r["index"] for r in results] == list(range(16))
 
     def test_progress_callback_sees_every_completion(self):
         seen = []
@@ -231,7 +231,7 @@ class TestBackends:
         assert seen == [(1, 4), (2, 4), (3, 4), (4, 4)]
 
     @pytest.mark.parametrize("backend,workers", [
-        ("serial", 1), ("process", 3), ("thread", 3),
+        ("serial", 1), ("process", 3),
     ])
     def test_worker_errors_propagate(self, backend, workers):
         tasks = expand_grid(params=[{"value": v} for v in range(8)], seed=4)
@@ -239,23 +239,9 @@ class TestBackends:
         with pytest.raises(RuntimeError, match="boom"):
             runner.map(_failing_worker, tasks, shared={"bad": 3})
 
-    def test_thread_backend_cancels_queue_on_failure(self):
-        # task 0 fails instantly; the 39 queued 50 ms sleepers must be
-        # cancelled rather than drained to completion before the error
-        # surfaces (which would stall a long sweep for its full duration)
-        tasks = expand_grid(params=[{"value": v} for v in range(40)], seed=4)
-        stream = ThreadBackend().submit(
-            _failing_worker, {"bad": 0, "delay": 0.05}, tasks, workers=2, chunksize=1
-        )
-        start = time.perf_counter()
-        with pytest.raises(RuntimeError, match="boom"):
-            for _ in stream:
-                pass
-        assert time.perf_counter() - start < 1.0  # 40 x 50 ms if drained
-
     def test_submit_results_matches_map(self):
         tasks = expand_grid(params=[{"value": v} for v in range(6)], seed=3)
-        runner = SweepRunner(workers=2, backend="thread")
+        runner = SweepRunner(workers=2, backend="process")
         execution = runner.submit(_square_worker, tasks, shared={"offset": 1})
         assert len(execution) == 6
         assert execution.results() == SweepRunner(workers=1).map(
@@ -263,11 +249,29 @@ class TestBackends:
         )
 
 
+class TestRetryDelay:
+    def test_deterministic(self):
+        assert retry_delay(0.5, "abc", 2) == retry_delay(0.5, "abc", 2)
+
+    def test_exponential_with_bounded_jitter(self):
+        for attempt in (1, 2, 3, 4):
+            base = 0.5 * 2 ** (attempt - 1)
+            delay = retry_delay(0.5, "abc", attempt)
+            assert 0.5 * base <= delay < 1.5 * base
+
+    def test_cap(self):
+        assert retry_delay(0.5, "abc", 50, cap=60.0) == 60.0
+
+    def test_jitter_desynchronizes_digests(self):
+        delays = {retry_delay(0.5, f"digest-{i}", 1) for i in range(8)}
+        assert len(delays) == 8
+
+
 class TestRobustness:
     """Retry budgets, crash diagnostics, and hang bounds on the pool backends."""
 
     @pytest.mark.parametrize("backend,workers", [
-        ("serial", 1), ("process", 3), ("thread", 3),
+        ("serial", 1), ("process", 3),
     ])
     def test_retries_recover_transient_failures(self, backend, workers):
         _FLAKY_CALLS.clear()
@@ -298,7 +302,7 @@ class TestRobustness:
     def test_sigkilled_pool_worker_names_in_flight_tasks(self):
         tasks = expand_grid(params=[{"value": v} for v in range(4)], seed=2)
         runner = SweepRunner(workers=2, backend="process")
-        with pytest.raises(WorkerCrashedError, match="--backend queue") as info:
+        with pytest.raises(WorkerCrashedError, match="--backend broker") as info:
             runner.map(_suicidal_worker, tasks, shared={"bad": 2})
         assert len(info.value.in_flight) >= 1
         assert any("value=2" in task.describe() for task in info.value.in_flight)
@@ -328,22 +332,6 @@ class TestRobustness:
 
 
 class TestArtifactCache:
-    def test_memory_layer_thread_safe(self, tmp_path):
-        # the cache rides inside ThreadBackend shared payloads: hammer the
-        # check-then-evict bookkeeping from many threads at a tiny capacity
-        import concurrent.futures
-
-        cache = ArtifactCache(root=tmp_path, memory_items=2)
-
-        def worker(thread_index):
-            for step in range(200):
-                key = {"k": (thread_index * 200 + step) % 7}
-                cache.get_or_create("sweep-result", key, lambda: step)
-            return True
-
-        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-            assert all(pool.map(worker, range(8)))
-
     def test_miss_then_hit(self, tmp_path):
         cache = ArtifactCache(root=tmp_path)
         key = {"benchmark": "mnist", "seed": 1}
@@ -438,24 +426,6 @@ class TestDriverEquivalence:
                 b.predicted_rate,
                 b.word_rate,
             )
-
-    def test_fig9a_three_backends_identical(self):
-        """Seeded mini-sweep through serial, process, and thread backends."""
-        voltages = np.array([0.46, 0.52])
-        rows = []
-        for backend, workers in (("serial", 1), ("process", 2), ("thread", 2)):
-            result = run_fig9a(
-                voltages=voltages,
-                num_words=96,
-                runner=SweepRunner(workers=workers, backend=backend),
-            )
-            rows.append(
-                [
-                    (p.voltage, p.measured_rate, p.predicted_rate, p.word_rate)
-                    for p in result.points
-                ]
-            )
-        assert rows[0] == rows[1] == rows[2]
 
     def test_fig5_cold_and_warm_cache_identical(self, tmp_path):
         # serial runner: cache stats are per-process, so the stores/hits
@@ -569,7 +539,7 @@ class TestDriverCLIs:
 
 #: Per-driver (cheap grid args, poison match) for the quarantine-rendering
 #: sweep below.  Matches address one task's ``describe()`` string, so the
-#: queue workers' fault plan quarantines that task while the rest of the
+#: broker workers' fault plan quarantines that task while the rest of the
 #: grid completes and the CLI must still print a merged table.
 _QUARANTINE_CASES = [
     (
@@ -623,7 +593,7 @@ _QUARANTINE_CASES = [
 class TestQuarantineRendering:
     """A poisoned task must degrade a driver CLI, never crash it.
 
-    Every driver runs its cheapest grid on the queue backend with a fault
+    Every driver runs its cheapest grid on the broker backend with a fault
     plan that poisons one task (``PoisonTask`` via ``$REPRO_FAULT_PLAN``,
     ``--retries 0`` so the first failed attempt quarantines).  The CLI must
     still print the merged table — healthy rows plus a ``QUARANTINED`` row
@@ -652,7 +622,7 @@ class TestQuarantineRendering:
         code = module.main(
             args
             + [
-                "--backend", "queue", "--workers", "1", "--retries", "0",
+                "--backend", "broker", "--workers", "1", "--retries", "0",
                 "--backoff", "0.05", "--cache-dir", shared_cache_dir,
             ]
         )
@@ -712,7 +682,7 @@ class TestQuarantineRendering:
         assert "-" in row
 
     def test_serial_walk_driver_renders_recalled_sentinels(self):
-        """Fig. 12's forced-serial walk cannot be poisoned through the queue,
+        """Fig. 12's forced-serial walk cannot be poisoned through the broker,
         but a shard-merged store can still recall sentinels into its result —
         rendering must tolerate them like every grid driver."""
         from repro.experiments.fig12_temperature import Fig12Result
