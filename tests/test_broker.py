@@ -187,8 +187,9 @@ class TestLeases:
         assert lease["hard_deadline"] is None
         assert lease_expired(lease, now=lease["heartbeat_deadline"] + 0.1) is True
 
-    def test_hard_deadline_survives_renewal(self, live_broker):
-        """--task-timeout is absolute: heartbeats cannot extend it."""
+    @staticmethod
+    def _claim_one(live_broker, lease_seconds, hard_timeout=None):
+        """Claim a single task as ``w0``; return the server and its digest."""
         server, client = live_broker
         _enqueue(client, 1)
         claim = client.call(
@@ -196,19 +197,42 @@ class TestLeases:
                 "op": "claim",
                 "sweep": SWEEP,
                 "owner": "w0",
-                "lease_seconds": 5.0,
-                "hard_timeout": 0.5,
+                "lease_seconds": lease_seconds,
+                "hard_timeout": hard_timeout,
             }
         )
-        digest = claim["record"]["digest"]
-        renew = {
-            "op": "renew",
-            "sweep": SWEEP,
-            "digest": digest,
-            "lease_seconds": 3600.0,
-        }
-        assert client.call({**renew, "owner": "impostor"})["renewed"] is False
-        assert client.call({**renew, "owner": "w0"})["renewed"] is True
+        return server, client, claim["record"]["digest"]
+
+    @staticmethod
+    def _renew(client, digest, owner, lease_seconds):
+        return client.call(
+            {
+                "op": "renew",
+                "sweep": SWEEP,
+                "digest": digest,
+                "owner": owner,
+                "lease_seconds": lease_seconds,
+            }
+        )["renewed"]
+
+    def test_renew_pushes_heartbeat_deadline(self, live_broker):
+        server, client, digest = self._claim_one(live_broker, 0.1)
+        before = server._sweeps[SWEEP].leases[digest]["heartbeat_deadline"]
+        assert self._renew(client, digest, "w0", 60.0) is True
+        after = server._sweeps[SWEEP].leases[digest]["heartbeat_deadline"]
+        assert after > before
+
+    def test_renew_requires_ownership(self, live_broker):
+        server, client, digest = self._claim_one(live_broker, 5.0)
+        before = dict(server._sweeps[SWEEP].leases[digest])
+        assert self._renew(client, digest, "impostor", 3600.0) is False
+        assert server._sweeps[SWEEP].leases[digest] == before
+        assert server._sweeps[SWEEP].leases[digest]["owner"] == "w0"
+
+    def test_hard_deadline_survives_renewal(self, live_broker):
+        """--task-timeout is absolute: heartbeats cannot extend it."""
+        server, client, digest = self._claim_one(live_broker, 5.0, hard_timeout=0.5)
+        assert self._renew(client, digest, "w0", 3600.0) is True
         lease = server._sweeps[SWEEP].leases[digest]
         assert lease["heartbeat_deadline"] > time.time() + 3000.0
         assert lease_expired(lease, now=lease["hard_deadline"] + 0.1) is True

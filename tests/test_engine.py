@@ -13,6 +13,7 @@ import pytest
 from repro.experiments import run_fig5, run_fig9a, run_fig10
 from repro.experiments.cache import ArtifactCache, cache_digest
 from repro.experiments.engine import (
+    BACKEND_NAMES,
     ProcessBackend,
     RetryingWorker,
     SerialBackend,
@@ -173,6 +174,13 @@ class TestBackends:
             SweepRunner(workers=1, backend="quantum").map(
                 _square_worker, expand_grid(params=[{"value": 1}]), shared={"offset": 0}
             )
+
+    def test_retired_backend_names_rejected(self):
+        """The broker is the one fault-tolerant backend; queue and thread are gone."""
+        assert BACKEND_NAMES == ("serial", "process", "broker")
+        for name in ("queue", "thread"):
+            with pytest.raises(ValueError, match="unknown sweep backend"):
+                resolve_backend(name)
 
     def test_tasks_run_counts_consumed_results_only(self):
         tasks = expand_grid(params=[{"value": v} for v in range(5)], seed=1)
@@ -426,6 +434,30 @@ class TestDriverEquivalence:
                 b.predicted_rate,
                 b.word_rate,
             )
+
+    def test_fig9a_three_backends_identical(self, tmp_path):
+        """Seeded mini-sweep through serial, process, and broker, chosen by name."""
+        voltages = np.array([0.46, 0.52])
+        store = ArtifactCache(root=tmp_path / "cache")
+        rows = []
+        for backend, workers in (("serial", 1), ("process", 2), ("broker", 2)):
+            result = run_fig9a(
+                voltages=voltages,
+                num_words=96,
+                runner=SweepRunner(
+                    workers=workers,
+                    backend=backend,
+                    shard_store=store,
+                    sweep_label=f"fig9a-{backend}",
+                ),
+            )
+            rows.append(
+                [
+                    (p.voltage, p.measured_rate, p.predicted_rate, p.word_rate)
+                    for p in result.points
+                ]
+            )
+        assert rows[0] == rows[1] == rows[2]
 
     def test_fig5_cold_and_warm_cache_identical(self, tmp_path):
         # serial runner: cache stats are per-process, so the stores/hits
