@@ -6,6 +6,16 @@ at 1).  During memory-adaptive training, the masks are applied to the
 quantized weights before every forward pass so backprop sees — and
 compensates for — exactly the corruption the deployed SRAM will inflict.
 
+The masks act on the signed integer codes directly, never on unsigned
+words.  With the masks restricted to the ``total_bits`` of the word and
+``s = 1 << (total_bits - 1)``, the value the accelerator reads is::
+
+    x = (code & and_mask) | or_mask      # low total_bits of the word
+    code' = (x ^ s) - s                  # sign-extend to int64
+
+which equals ``word_to_code((code_to_word(code) & and_mask) | or_mask)``
+without the uint64 round trip (64-bit words need no extension).
+
 Two construction paths are provided:
 
 * :meth:`FaultMaskSet.from_fault_maps` — derive masks from per-bank fault
@@ -26,7 +36,45 @@ from ..quant.quantizer import LayerQuantization, WeightQuantizer
 from ..sram.bitops import pack_bits, popcount
 from ..sram.fault_map import FaultMap
 
-__all__ = ["LayerMasks", "FaultMaskSet", "apply_masks_to_values"]
+__all__ = [
+    "LayerMasks",
+    "FaultMaskSet",
+    "apply_masks_to_values",
+    "code_masks",
+    "masked_values",
+]
+
+
+def code_masks(
+    and_mask: np.ndarray, or_mask: np.ndarray, fmt
+) -> tuple[np.ndarray, np.ndarray]:
+    """AND/OR word masks as ``int64`` masks over ``fmt``'s signed codes.
+
+    Bits above ``fmt.total_bits`` are dropped, so they stay ignored exactly
+    as the word path ignores them.
+    """
+    word = np.uint64(fmt.word_mask)
+    return (
+        (np.asarray(and_mask, dtype=np.uint64) & word).view(np.int64),
+        (np.asarray(or_mask, dtype=np.uint64) & word).view(np.int64),
+    )
+
+
+def masked_values(
+    codes: np.ndarray, and_code: np.ndarray, or_code: np.ndarray, fmt
+) -> np.ndarray:
+    """Float value of the fault-masked codes, ``sign_extend((c & and) | or)``.
+
+    ``codes`` come from ``fmt.quantize_to_code`` and the masks from
+    :func:`code_masks`; ``codes`` is left untouched.
+    """
+    masked = np.bitwise_and(codes, and_code)
+    masked |= or_code
+    if fmt.total_bits < 64:
+        sign = 1 << (fmt.total_bits - 1)
+        masked ^= sign
+        masked -= sign
+    return fmt.dequantize_code(masked)
 
 
 def apply_masks_to_values(
@@ -40,9 +88,8 @@ def apply_masks_to_values(
     Implements ``dequant((Q(values) & and_mask) | or_mask)`` with the given
     fixed-point format — the value the accelerator would actually read.
     """
-    words = fmt.float_to_word(values)
-    corrupted = (words & and_mask.astype(np.uint64)) | or_mask.astype(np.uint64)
-    return fmt.word_to_float(corrupted)
+    and_code, or_code = code_masks(and_mask, or_mask, fmt)
+    return masked_values(fmt.quantize_to_code(values), and_code, or_code, fmt)
 
 
 @dataclass

@@ -3,7 +3,7 @@
 MAT augments vanilla backprop with the injection-masking process of Fig. 4:
 
 1. master float weights ``w`` are quantized to the SRAM word format,
-2. the profiled AND/OR fault masks are applied to the quantized words,
+2. the profiled AND/OR fault masks are applied to the quantized codes,
    producing the *fixed* weights ``m`` the accelerator would actually read,
 3. the forward and backward passes run on ``m``, so the propagated error
    reflects the bit errors, and
@@ -14,6 +14,12 @@ MAT augments vanilla backprop with the injection-masking process of Fig. 4:
    i.e. the fractional quantization error is preserved so that small
    gradient updates accumulate across iterations instead of being rounded
    away (the convergence fix the paper adopts from Gupta et al.).
+
+Each step quantizes every master tensor once.  The ``int64`` codes feed both
+the masked view (``(codes & and) | or``, sign-extended; see
+:mod:`repro.matic.masking`) and ``ε_q = clip(w) − codes·lsb``.  Reusing the
+codes for ``ε_q`` is exact because quantization saturates:
+``codes(clip(w)) == codes(w)``.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from ..nn.network import Network
 from ..nn.optimizers import Optimizer
 from ..nn.trainer import Trainer, TrainingHistory
 from ..quant.quantizer import WeightQuantizer
-from .masking import FaultMaskSet, apply_masks_to_values
+from .masking import FaultMaskSet, code_masks, masked_values
 
 __all__ = ["MemoryAdaptiveTrainer"]
 
@@ -41,7 +47,8 @@ class MemoryAdaptiveTrainer(Trainer):
     mask_set:
         Injection masks (profiled or synthetic) plus per-layer fixed-point
         formats.  Use :meth:`repro.matic.masking.FaultMaskSet.identity` to
-        run quantized-but-fault-free training.
+        run quantized-but-fault-free training.  The masks are converted to
+        ``int64`` code masks once, at construction.
     optimizer, learning_rate, batch_size, epochs, patience, seed:
         As in :class:`repro.nn.trainer.Trainer`.
     """
@@ -73,6 +80,17 @@ class MemoryAdaptiveTrainer(Trainer):
         if len(mask_set) != len(network.layers):
             raise ValueError("mask set depth does not match the network")
         self.mask_set = mask_set
+        # per layer: weight/bias formats and their int64 code masks, read
+        # from the mask set once here
+        self._layer_kernels = [
+            (
+                fmt.weight_format,
+                fmt.bias_format,
+                code_masks(masks.weight_and, masks.weight_or, fmt.weight_format),
+                code_masks(masks.bias_and, masks.bias_or, fmt.bias_format),
+            )
+            for masks, fmt in zip(mask_set.layer_masks, mask_set.layer_formats)
+        ]
 
     @classmethod
     def from_config(cls, network: Network, mask_set: FaultMaskSet, config) -> "MemoryAdaptiveTrainer":
@@ -101,13 +119,20 @@ class MemoryAdaptiveTrainer(Trainer):
 
     # ------------------------------------------------------------------
 
-    def _install_masked_view(self) -> None:
-        """Install the quantized, fault-masked effective parameters."""
-        self.mask_set.install(self.network)
-
     def train_step(self, inputs: np.ndarray, targets: np.ndarray) -> float:
-        """One MAT iteration: mask, forward, backward, adapted update."""
-        self._install_masked_view()
+        """One MAT iteration: quantize, mask, forward, backward, adapted update."""
+        layer_codes = []
+        for layer, (weight_format, bias_format, weight_masks, bias_masks) in zip(
+            self.network.layers, self._layer_kernels
+        ):
+            weight_codes = weight_format.quantize_to_code(layer.weights)
+            bias_codes = bias_format.quantize_to_code(layer.bias)
+            layer.set_effective(
+                masked_values(weight_codes, *weight_masks, weight_format),
+                masked_values(bias_codes, *bias_masks, bias_format),
+            )
+            layer_codes.append((weight_codes, bias_codes))
+
         predictions = self.network.forward(inputs, training=True)
         loss_value = self.network.backward(predictions, targets)
         if self.weight_decay:
@@ -117,25 +142,8 @@ class MemoryAdaptiveTrainer(Trainer):
                 )
 
         for index, layer in enumerate(self.network.layers):
-            fmt = self.mask_set.layer_formats[index]
-            weight_format = fmt.weight_format
-            bias_format = fmt.bias_format
-            # m[n]: the masked/quantized parameters the passes just used
-            masked_weights = layer.effective_weights
-            masked_bias = layer.effective_bias
-            # ε_q: *fractional* (sub-LSB) quantization error of the master
-            # parameters.  Masters are clamped to the representable range
-            # first; otherwise a master pushed outside the range by a fault
-            # would make ε_q the full clipping error and the float weights
-            # would drift without bound.
-            clipped_weights = np.clip(
-                layer.weights, weight_format.min_value, weight_format.max_value
-            )
-            clipped_bias = np.clip(
-                layer.bias, bias_format.min_value, bias_format.max_value
-            )
-            eps_weights = clipped_weights - weight_format.quantize(clipped_weights)
-            eps_bias = clipped_bias - bias_format.quantize(clipped_bias)
+            weight_format, bias_format, _, _ = self._layer_kernels[index]
+            weight_codes, bias_codes = layer_codes[index]
             # optimizer delta corresponds to α · ∂J/∂m (with momentum/Adam
             # generalizations handled by the optimizer itself)
             delta_weights = self.optimizer.parameter_delta(
@@ -144,15 +152,12 @@ class MemoryAdaptiveTrainer(Trainer):
             delta_bias = self.optimizer.parameter_delta(
                 f"layer{index}.bias", layer.grad_bias
             )
-            layer.weights = np.clip(
-                masked_weights - delta_weights + eps_weights,
-                weight_format.min_value,
-                weight_format.max_value,
+            # m[n] (the masked parameters the passes just used) − delta + ε_q
+            layer.weights = _adapted_update(
+                layer.effective_weights, delta_weights, layer.weights, weight_codes, weight_format
             )
-            layer.bias = np.clip(
-                masked_bias - delta_bias + eps_bias,
-                bias_format.min_value,
-                bias_format.max_value,
+            layer.bias = _adapted_update(
+                layer.effective_bias, delta_bias, layer.bias, bias_codes, bias_format
             )
 
         return loss_value
@@ -173,7 +178,7 @@ class MemoryAdaptiveTrainer(Trainer):
         back the pure float model.
         """
         history = super().fit(train, validation=validation, verbose=verbose)
-        self._install_masked_view()
+        self.mask_set.install(self.network)
         return history
 
     # ------------------------------------------------------------------
@@ -186,15 +191,29 @@ class MemoryAdaptiveTrainer(Trainer):
         """
         clone = self.network.copy()
         for index, layer in enumerate(clone.layers):
-            masks = self.mask_set.layer_masks[index]
-            fmt = self.mask_set.layer_formats[index]
-            layer.weights = apply_masks_to_values(
-                layer.weights, masks.weight_and, masks.weight_or, fmt.weight_format
-            )
-            layer.bias = apply_masks_to_values(
-                layer.bias, masks.bias_and, masks.bias_or, fmt.bias_format
-            )
+            layer.weights, layer.bias = self.mask_set.masked_layer_parameters(clone, index)
         return clone
+
+
+def _adapted_update(
+    masked: np.ndarray, delta: np.ndarray, master: np.ndarray, codes: np.ndarray, fmt
+) -> np.ndarray:
+    """``clip(m − delta + ε_q)`` with ``ε_q = clip(w) − codes·lsb``.
+
+    ``ε_q`` is the *fractional* (sub-LSB) quantization error of the master.
+    The master is clamped to the representable range first; otherwise a
+    master pushed outside the range by a fault would make ``ε_q`` the full
+    clipping error and the float weights would drift without bound.
+    """
+    low, high = fmt.min_value, fmt.max_value
+    # np.clip spelled as two ufuncs (same values, a fraction of the
+    # call overhead on these small tensors)
+    eps = np.minimum(np.maximum(master, low), high)
+    eps -= fmt.dequantize_code(codes)
+    updated = masked - delta
+    updated += eps
+    np.maximum(updated, low, out=updated)
+    return np.minimum(updated, high, out=updated)
 
 
 def quantizer_for(mask_set: FaultMaskSet) -> WeightQuantizer:

@@ -79,14 +79,24 @@ class FixedPointFormat:
         """Quantize float values to integer codes with saturation.
 
         Rounding is round-half-away-from-zero to match typical hardware
-        quantizers; results are ``int64``.  Saturation is decided in the
-        float domain but the clip itself happens on integers: float64 cannot
-        represent every code of formats wider than 53 bits, so clipping
-        against ``float(max_code)`` would overflow the int64 cast for
-        ``total_bits`` near 64.
+        quantizers; results are ``int64``.  Up to 53 bits every code is an
+        exact float64, so the clip happens on floats:
+        ``trunc(x + copysign(0.5, x))`` is the same rounding as
+        ``sign(x)·floor(|x| + 0.5)`` (the sum is the same float up to sign),
+        for ±0, exact half-LSB ties and ±inf alike.  Wider formats decide
+        saturation in the float domain but clip on integers: float64 cannot
+        represent every code above 53 bits, so clipping against
+        ``float(max_code)`` would overflow the int64 cast for ``total_bits``
+        near 64.
         """
         values = np.asarray(values, dtype=float)
         scaled = values / self.scale
+        if self.total_bits <= 53:
+            rounded = np.trunc(scaled + np.copysign(0.5, scaled))
+            # np.clip, as two ufuncs: its Python wrapper costs more than the
+            # clip itself on the small tensors training quantizes every step
+            clipped = np.minimum(np.maximum(rounded, self.min_code), self.max_code)
+            return np.asarray(clipped).astype(np.int64)
         rounded = np.sign(scaled) * np.floor(np.abs(scaled) + 0.5)
         # float(max_code) rounds up to 2**(total_bits-1) for wide formats, so
         # anything at or above it saturates; float(min_code) is always exact.

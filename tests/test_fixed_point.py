@@ -179,6 +179,75 @@ class TestWideFormats:
         np.testing.assert_array_equal(codes, expected)
 
 
+def _reference_codes(fmt: FixedPointFormat, values: np.ndarray) -> list[int]:
+    """``sign(x)·floor(|x| + 0.5)`` in units of one LSB, saturated exactly."""
+    with np.errstate(over="ignore"):
+        scaled = np.asarray(values, dtype=float) / fmt.scale
+    rounded = np.sign(scaled) * np.floor(np.abs(scaled) + 0.5)
+    return [
+        fmt.max_code if r >= fmt.max_code else fmt.min_code if r <= fmt.min_code else int(r)
+        for r in rounded
+    ]
+
+
+class TestNarrowFastPath:
+    """Formats up to 53 bits round and clip in float64; the codes must equal
+    the sign/floor reference with exact saturation."""
+
+    @staticmethod
+    def _edge_values(fmt: FixedPointFormat) -> np.ndarray:
+        lsb = fmt.scale
+        ks = np.array([0, 1, 2, 3, 7, 100, fmt.max_code - 1, fmt.max_code], dtype=float)
+        ties = (ks + 0.5) * lsb
+        return np.concatenate([
+            [0.0, -0.0, np.inf, -np.inf, 1e300, -1e300],
+            ties, -ties,
+            [fmt.min_value, fmt.max_value, fmt.min_value - lsb / 2, fmt.max_value + lsb / 2],
+            [fmt.min_value - lsb, fmt.max_value + lsb],
+            [np.nextafter(lsb / 2, 0), -np.nextafter(lsb / 2, 0)],
+        ])
+
+    @pytest.mark.parametrize("total_bits", range(2, 54))
+    def test_edge_values_match_reference(self, total_bits):
+        for frac_bits in sorted({0, total_bits // 2, total_bits - 1}):
+            fmt = FixedPointFormat(total_bits, frac_bits)
+            values = self._edge_values(fmt)
+            with np.errstate(over="ignore"):
+                codes = fmt.quantize_to_code(values)
+            assert codes.dtype == np.int64
+            assert codes.tolist() == _reference_codes(fmt, values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        total_bits=st.integers(2, 53),
+        frac_fraction=st.floats(0.0, 1.0, exclude_max=True),
+        values=st.lists(
+            st.floats(allow_nan=False, allow_infinity=True, width=64), min_size=1, max_size=16
+        ),
+    )
+    def test_random_values_match_reference(self, total_bits, frac_fraction, values):
+        fmt = FixedPointFormat(total_bits, int(frac_fraction * total_bits))
+        with np.errstate(over="ignore"):
+            codes = fmt.quantize_to_code(np.array(values))
+        assert codes.tolist() == _reference_codes(fmt, np.array(values))
+
+    @pytest.mark.parametrize("total_bits", [16, 64])
+    def test_scalar_input_gives_zero_dim_codes(self, total_bits):
+        fmt = FixedPointFormat(total_bits, 12)
+        codes = fmt.quantize_to_code(0.3)
+        assert isinstance(codes, np.ndarray) and codes.shape == () and codes.dtype == np.int64
+        assert int(codes) == round(0.3 * 2**12)
+
+    @pytest.mark.parametrize("total_bits", range(54, 65))
+    def test_wide_formats_saturate_exactly(self, total_bits):
+        fmt = FixedPointFormat(total_bits, 0)
+        huge = float(2**total_bits)
+        values = np.array([np.inf, -np.inf, 1e300, -1e300, huge, -huge])
+        codes = fmt.quantize_to_code(values)
+        assert codes.tolist() == [fmt.max_code, fmt.min_code] * 3
+        assert codes.tolist() == _reference_codes(fmt, values)
+
+
 class TestHypothesisProperties:
     @settings(max_examples=100, deadline=None)
     @given(

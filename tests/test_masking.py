@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.accelerator import MicrocodeCompiler
 from repro.matic import FaultMaskSet, LayerMasks, apply_masks_to_values
+from repro.matic.masking import code_masks, masked_values
 from repro.nn import Network
 from repro.quant import FixedPointFormat, WeightQuantizer
 from repro.sram import BitFault, FaultMap, WeightMemorySystem
@@ -49,6 +50,65 @@ class TestApplyMasksToValues:
         or_mask = np.array([0], dtype=np.uint64)
         out = apply_masks_to_values(values, and_mask, or_mask, fmt)
         assert out[0] == 15.0
+
+
+class TestIntegerDomainKernel:
+    """The int64-code mask kernel must equal the word-domain round trip it
+    replaced: quantize to a uint64 word, AND/OR it, decode back."""
+
+    @staticmethod
+    def _word_reference(fmt, values, and_mask, or_mask):
+        return fmt.word_to_float((fmt.float_to_word(values) & and_mask) | or_mask)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        total_bits=st.sampled_from([2, 8, 16, 22, 32, 53, 63, 64]),
+        frac_fraction=st.floats(0.0, 1.0, exclude_max=True),
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(1, 24),
+        spread=st.sampled_from([0.5, 1.0, 4.0, 1e6]),
+    )
+    def test_matches_word_domain_reference(self, total_bits, frac_fraction, seed, size, spread):
+        fmt = FixedPointFormat(total_bits, int(frac_fraction * total_bits))
+        rng = np.random.default_rng(seed)
+        # values up to `spread` times the range on either side, so some saturate
+        values = rng.uniform(-spread, spread, size) * max(fmt.max_value, 1.0)
+        values[0] = fmt.max_value * 3.0
+        # full 64-bit random masks: bits above total_bits must be ignored
+        and_mask = rng.integers(0, 2**64, size, dtype=np.uint64, endpoint=False)
+        or_mask = rng.integers(0, 2**64, size, dtype=np.uint64, endpoint=False)
+        and_mask[-1] |= np.uint64(fmt.word_mask)
+        expected = self._word_reference(fmt, values, and_mask, or_mask)
+
+        codes = fmt.quantize_to_code(values)
+        got = masked_values(codes, *code_masks(and_mask, or_mask, fmt), fmt)
+        np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(
+            apply_masks_to_values(values, and_mask, or_mask, fmt), expected
+        )
+        # the kernel reads the codes, it never writes them
+        np.testing.assert_array_equal(codes, fmt.quantize_to_code(values))
+
+    @pytest.mark.parametrize("total_bits", [2, 8, 16, 22, 32, 53, 63, 64])
+    def test_out_of_range_values_saturate(self, total_bits):
+        fmt = FixedPointFormat(total_bits, total_bits // 2)
+        values = np.array([fmt.max_value * 4, fmt.min_value * 4, np.inf, -np.inf, 1e300, -1e300])
+        ones = np.full(values.shape, np.uint64(2**64 - 1))
+        zeros = np.zeros(values.shape, dtype=np.uint64)
+        with np.errstate(over="ignore"):  # 1e300 / lsb overflows to inf
+            got = apply_masks_to_values(values, ones, zeros, fmt)
+            reference = self._word_reference(fmt, values, ones, zeros)
+        expected = np.array([fmt.max_value, fmt.min_value] * 3)
+        np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(got, reference)
+
+    def test_code_masks_drop_bits_above_the_word(self):
+        fmt = FixedPointFormat(8, 4)
+        and_code, or_code = code_masks(
+            np.array([2**64 - 1], dtype=np.uint64), np.array([0xF00], dtype=np.uint64), fmt
+        )
+        assert and_code.dtype == or_code.dtype == np.int64
+        assert and_code[0] == 0xFF and or_code[0] == 0
 
 
 class TestLayerMasks:

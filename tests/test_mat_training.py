@@ -7,7 +7,8 @@ import pytest
 
 from repro.matic import FaultMaskSet, MemoryAdaptiveTrainer
 from repro.nn import Dataset, Network, Trainer, classification_error, one_hot
-from repro.quant import WeightQuantizer
+from repro.nn.optimizers import MomentumSGD
+from repro.quant import FixedPointFormat, WeightQuantizer
 
 
 @pytest.fixture()
@@ -85,6 +86,93 @@ class TestUpdateRule:
         deployed = trainer.deployed_accuracy_view()
         x = toy_dataset.inputs[:16]
         np.testing.assert_allclose(deployed.predict(x), network.predict(x), atol=1e-6)
+
+
+def _reference_mat_step(network, mask_set, optimizer, weight_decay, inputs, targets):
+    """The word-domain MAT step: mask through uint64 words, then a second
+    ``quantize`` of the clipped masters for ε_q."""
+    for layer, masks, fmt in zip(network.layers, mask_set.layer_masks, mask_set.layer_formats):
+        wf, bf = fmt.weight_format, fmt.bias_format
+        weight_words = (wf.float_to_word(layer.weights) & masks.weight_and) | masks.weight_or
+        bias_words = (bf.float_to_word(layer.bias) & masks.bias_and) | masks.bias_or
+        layer.set_effective(wf.word_to_float(weight_words), bf.word_to_float(bias_words))
+    predictions = network.forward(inputs, training=True)
+    loss_value = network.backward(predictions, targets)
+    for layer in network.layers:
+        layer.grad_weights = layer.grad_weights + weight_decay * layer.effective_weights
+    for index, (layer, fmt) in enumerate(zip(network.layers, mask_set.layer_formats)):
+        wf, bf = fmt.weight_format, fmt.bias_format
+        clipped_weights = np.clip(layer.weights, wf.min_value, wf.max_value)
+        clipped_bias = np.clip(layer.bias, bf.min_value, bf.max_value)
+        eps_weights = clipped_weights - wf.quantize(clipped_weights)
+        eps_bias = clipped_bias - bf.quantize(clipped_bias)
+        delta_weights = optimizer.parameter_delta(f"layer{index}.weights", layer.grad_weights)
+        delta_bias = optimizer.parameter_delta(f"layer{index}.bias", layer.grad_bias)
+        layer.weights = np.clip(
+            layer.effective_weights - delta_weights + eps_weights, wf.min_value, wf.max_value
+        )
+        layer.bias = np.clip(
+            layer.effective_bias - delta_bias + eps_bias, bf.min_value, bf.max_value
+        )
+    return loss_value
+
+
+class TestFusedStepRegression:
+    """The fused integer-domain step must reproduce the word-domain update
+    rule bit for bit."""
+
+    @pytest.mark.parametrize("total_bits", [8, 16, 64])
+    def test_matches_word_domain_reference_every_epoch(self, toy_dataset, total_bits):
+        quantizer = WeightQuantizer(total_bits=total_bits)
+        fused_net = Network("8-12-2", loss="binary_cross_entropy", seed=2)
+        Trainer(fused_net, learning_rate=0.3, epochs=3, seed=1).fit(toy_dataset)
+        masks = FaultMaskSet.random(fused_net, quantizer, 0.1, rng=13)
+        # push masters past the formats the masks were built for, so the
+        # first step quantizes saturated values
+        for layer in fused_net.layers:
+            layer.weights *= 3.0
+        reference_net = fused_net.copy()
+        weight_decay = 1e-3
+        trainer = MemoryAdaptiveTrainer(
+            fused_net,
+            masks,
+            optimizer=MomentumSGD(learning_rate=0.2, momentum=0.9),
+            weight_decay=weight_decay,
+        )
+        reference_optimizer = MomentumSGD(learning_rate=0.2, momentum=0.9)
+        order = np.random.default_rng(5)
+        for _ in range(4):
+            permutation = order.permutation(len(toy_dataset.inputs))
+            for start in range(0, len(permutation), 32):
+                batch = permutation[start:start + 32]
+                x, y = toy_dataset.inputs[batch], toy_dataset.targets[batch]
+                fused_loss = trainer.train_step(x, y)
+                reference_loss = _reference_mat_step(
+                    reference_net, masks, reference_optimizer, weight_decay, x, y
+                )
+                assert fused_loss == reference_loss
+            for fused, reference in zip(fused_net.layers, reference_net.layers):
+                assert np.array_equal(fused.weights, reference.weights)
+                assert np.array_equal(fused.bias, reference.bias)
+                assert np.array_equal(fused.effective_weights, reference.effective_weights)
+                assert np.array_equal(fused.effective_bias, reference.effective_bias)
+
+    def test_one_quantize_per_tensor_per_step(self, toy_dataset, quantizer, monkeypatch):
+        network = Network("8-12-6-2", loss="binary_cross_entropy", seed=2)
+        masks = FaultMaskSet.random(network, quantizer, 0.1, rng=4)
+        trainer = MemoryAdaptiveTrainer(network, masks, seed=3)
+        calls = {"quantize_to_code": 0, "quantize": 0}
+        for name in calls:
+            original = getattr(FixedPointFormat, name)
+
+            def counted(self, values, _original=original, _name=name):
+                calls[_name] += 1
+                return _original(self, values)
+
+            monkeypatch.setattr(FixedPointFormat, name, counted)
+        trainer.train_step(toy_dataset.inputs[:32], toy_dataset.targets[:32])
+        # one weight tensor and one bias tensor per layer
+        assert calls == {"quantize_to_code": 2 * len(network.layers), "quantize": 0}
 
 
 class TestRecoveryBehaviour:
