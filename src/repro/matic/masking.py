@@ -41,7 +41,9 @@ __all__ = [
     "FaultMaskSet",
     "apply_masks_to_values",
     "code_masks",
+    "mask_codes",
     "masked_values",
+    "sign_bit",
 ]
 
 
@@ -60,6 +62,26 @@ def code_masks(
     )
 
 
+def sign_bit(fmt) -> int:
+    """``fmt``'s sign bit, for sign extension; 0 for 64-bit words (none needed)."""
+    return 1 << (fmt.total_bits - 1) if fmt.total_bits < 64 else 0
+
+
+def mask_codes(
+    codes: np.ndarray, and_code: np.ndarray, or_code: np.ndarray, sign: int | np.ndarray
+) -> np.ndarray:
+    """Fault-masked codes ``sign_extend((codes & and) | or)``.
+
+    ``sign`` is :func:`sign_bit` of the format, a scalar or one per element;
+    ``codes`` is left untouched.
+    """
+    masked = np.bitwise_and(codes, and_code)
+    masked |= or_code
+    masked ^= sign
+    masked -= sign
+    return masked
+
+
 def masked_values(
     codes: np.ndarray, and_code: np.ndarray, or_code: np.ndarray, fmt
 ) -> np.ndarray:
@@ -68,13 +90,7 @@ def masked_values(
     ``codes`` come from ``fmt.quantize_to_code`` and the masks from
     :func:`code_masks`; ``codes`` is left untouched.
     """
-    masked = np.bitwise_and(codes, and_code)
-    masked |= or_code
-    if fmt.total_bits < 64:
-        sign = 1 << (fmt.total_bits - 1)
-        masked ^= sign
-        masked -= sign
-    return fmt.dequantize_code(masked)
+    return fmt.dequantize_code(mask_codes(codes, and_code, or_code, sign_bit(fmt)))
 
 
 def apply_masks_to_values(

@@ -15,11 +15,18 @@ MAT augments vanilla backprop with the injection-masking process of Fig. 4:
    gradient updates accumulate across iterations instead of being rounded
    away (the convergence fix the paper adopts from Gupta et al.).
 
-Each step quantizes every master tensor once.  The ``int64`` codes feed both
-the masked view (``(codes & and) | or``, sign-extended; see
-:mod:`repro.matic.masking`) and ``ε_q = clip(w) − codes·lsb``.  Reusing the
-codes for ``ε_q`` is exact because quantization saturates:
-``codes(clip(w)) == codes(w)``.
+Each step is one numpy pass over the network's flat parameter vector
+(:meth:`repro.nn.network.Network.flat_buffers`: all weights, then all
+biases).  At construction the trainer lays out per-element vectors in the
+same order — LSB, code and value bounds, sign bit and the ``int64`` AND/OR
+code masks of each element's own tensor — so one quantize
+(:func:`repro.quant.fixed_point.round_to_code`) yields the codes of every
+tensor.  The codes feed both the masked view (``(codes & and) | or``,
+sign-extended; see :mod:`repro.matic.masking`) and
+``ε_q = clip(w) − codes·lsb``.  Reusing the codes for ``ε_q`` is exact
+because quantization saturates: ``codes(clip(w)) == codes(w)``.  Every LSB is
+a power of two, so dividing by the per-element LSB vector is exact and each
+element rounds exactly as its tensor's own format would.
 """
 
 from __future__ import annotations
@@ -30,8 +37,9 @@ from ..nn.data import Dataset
 from ..nn.network import Network
 from ..nn.optimizers import Optimizer
 from ..nn.trainer import Trainer, TrainingHistory
+from ..quant.fixed_point import round_to_code
 from ..quant.quantizer import WeightQuantizer
-from .masking import FaultMaskSet, code_masks, masked_values
+from .masking import FaultMaskSet, code_masks, mask_codes, sign_bit
 
 __all__ = ["MemoryAdaptiveTrainer"]
 
@@ -47,8 +55,9 @@ class MemoryAdaptiveTrainer(Trainer):
     mask_set:
         Injection masks (profiled or synthetic) plus per-layer fixed-point
         formats.  Use :meth:`repro.matic.masking.FaultMaskSet.identity` to
-        run quantized-but-fault-free training.  The masks are converted to
-        ``int64`` code masks once, at construction.
+        run quantized-but-fault-free training.  The masks and formats are
+        laid out as per-element vectors over the flat parameter vector once,
+        at construction.
     optimizer, learning_rate, batch_size, epochs, patience, seed:
         As in :class:`repro.nn.trainer.Trainer`.
     """
@@ -80,17 +89,46 @@ class MemoryAdaptiveTrainer(Trainer):
         if len(mask_set) != len(network.layers):
             raise ValueError("mask set depth does not match the network")
         self.mask_set = mask_set
-        # per layer: weight/bias formats and their int64 code masks, read
-        # from the mask set once here
-        self._layer_kernels = [
-            (
-                fmt.weight_format,
-                fmt.bias_format,
-                code_masks(masks.weight_and, masks.weight_or, fmt.weight_format),
-                code_masks(masks.bias_and, masks.bias_or, fmt.bias_format),
+        # per-element vectors in the network's flat layout (all weights,
+        # then all biases), each element carrying its own tensor's format
+        formats = [(fmt.weight_format, fmt.bias_format) for fmt in mask_set.layer_formats]
+
+        def per_element(value_of, dtype=float) -> np.ndarray:
+            vector = np.empty(network.num_parameters, dtype=dtype)
+            for (weights, bias), (weight_format, bias_format) in zip(
+                network.unflatten(vector), formats
+            ):
+                weights[...] = value_of(weight_format)
+                bias[...] = value_of(bias_format)
+            return vector
+
+        # one tensor wider than 53 bits sends the whole vector down the
+        # exact integer path, with integer code bounds
+        self._wide = any(fmt.total_bits > 53 for pair in formats for fmt in pair)
+        code_dtype = np.int64 if self._wide else float
+        self._lsb = per_element(lambda fmt: fmt.scale)
+        self._min_code = per_element(lambda fmt: fmt.min_code, code_dtype)
+        self._max_code = per_element(lambda fmt: fmt.max_code, code_dtype)
+        self._min_value = per_element(lambda fmt: fmt.min_value)
+        self._max_value = per_element(lambda fmt: fmt.max_value)
+        self._sign = per_element(sign_bit, np.int64)
+        self._and_code = np.empty(network.num_parameters, dtype=np.int64)
+        self._or_code = np.empty_like(self._and_code)
+        and_views = network.unflatten(self._and_code)
+        or_views = network.unflatten(self._or_code)
+        for index, masks in enumerate(mask_set.layer_masks):
+            weight_format, bias_format = formats[index]
+            (and_weights, and_bias), (or_weights, or_bias) = and_views[index], or_views[index]
+            if (masks.weight_and.shape, masks.bias_and.shape) != (and_weights.shape, and_bias.shape):
+                raise ValueError("mask shapes do not match the network's parameters")
+            and_weights[...], or_weights[...] = code_masks(
+                masks.weight_and, masks.weight_or, weight_format
             )
-            for masks, fmt in zip(mask_set.layer_masks, mask_set.layer_formats)
-        ]
+            and_bias[...], or_bias[...] = code_masks(masks.bias_and, masks.bias_or, bias_format)
+        self._num_weights = network.num_weights
+        # the masked view m, which the layers read through their views of it
+        self._effective = np.empty(network.num_parameters)
+        self._effective_views = network.unflatten(self._effective)
 
     @classmethod
     def from_config(cls, network: Network, mask_set: FaultMaskSet, config) -> "MemoryAdaptiveTrainer":
@@ -121,45 +159,35 @@ class MemoryAdaptiveTrainer(Trainer):
 
     def train_step(self, inputs: np.ndarray, targets: np.ndarray) -> float:
         """One MAT iteration: quantize, mask, forward, backward, adapted update."""
-        layer_codes = []
-        for layer, (weight_format, bias_format, weight_masks, bias_masks) in zip(
-            self.network.layers, self._layer_kernels
-        ):
-            weight_codes = weight_format.quantize_to_code(layer.weights)
-            bias_codes = bias_format.quantize_to_code(layer.bias)
-            layer.set_effective(
-                masked_values(weight_codes, *weight_masks, weight_format),
-                masked_values(bias_codes, *bias_masks, bias_format),
-            )
-            layer_codes.append((weight_codes, bias_codes))
+        params, grads = self.network.flat_buffers()
+        codes = round_to_code(params, self._lsb, self._min_code, self._max_code, wide=self._wide)
+        # m = sign_extend((codes & and) | or) · lsb
+        masked = mask_codes(codes, self._and_code, self._or_code, self._sign)
+        effective = np.multiply(masked, self._lsb, out=self._effective)
+        for layer, (weights, bias) in zip(self.network.layers, self._effective_views):
+            layer.set_effective(weights, bias)
 
         predictions = self.network.forward(inputs, training=True)
         loss_value = self.network.backward(predictions, targets)
         if self.weight_decay:
-            for layer in self.network.layers:
-                layer.grad_weights = (
-                    layer.grad_weights + self.weight_decay * layer.effective_weights
-                )
+            weights = slice(self._num_weights)
+            grads[weights] += self.weight_decay * effective[weights]
 
-        for index, layer in enumerate(self.network.layers):
-            weight_format, bias_format, _, _ = self._layer_kernels[index]
-            weight_codes, bias_codes = layer_codes[index]
-            # optimizer delta corresponds to α · ∂J/∂m (with momentum/Adam
-            # generalizations handled by the optimizer itself)
-            delta_weights = self.optimizer.parameter_delta(
-                f"layer{index}.weights", layer.grad_weights
-            )
-            delta_bias = self.optimizer.parameter_delta(
-                f"layer{index}.bias", layer.grad_bias
-            )
-            # m[n] (the masked parameters the passes just used) − delta + ε_q
-            layer.weights = _adapted_update(
-                layer.effective_weights, delta_weights, layer.weights, weight_codes, weight_format
-            )
-            layer.bias = _adapted_update(
-                layer.effective_bias, delta_bias, layer.bias, bias_codes, bias_format
-            )
-
+        # optimizer delta corresponds to α · ∂J/∂m (with momentum/Adam
+        # generalizations handled by the optimizer itself)
+        delta = self.optimizer.parameter_delta("parameters", grads)
+        # w = clip(m − delta + ε_q) with ε_q = clip(w) − codes·lsb, the
+        # *fractional* (sub-LSB) quantization error of the master.  The
+        # master is clamped first; otherwise a master pushed outside the
+        # range by a fault would make ε_q the full clipping error and the
+        # float weights would drift without bound.  np.clip is spelled as
+        # two ufuncs (same values, a fraction of the call overhead).
+        eps = np.minimum(np.maximum(params, self._min_value), self._max_value)
+        eps -= codes * self._lsb
+        np.subtract(effective, delta, out=params)
+        params += eps
+        np.maximum(params, self._min_value, out=params)
+        np.minimum(params, self._max_value, out=params)
         return loss_value
 
     def fit(
@@ -193,27 +221,6 @@ class MemoryAdaptiveTrainer(Trainer):
         for index, layer in enumerate(clone.layers):
             layer.weights, layer.bias = self.mask_set.masked_layer_parameters(clone, index)
         return clone
-
-
-def _adapted_update(
-    masked: np.ndarray, delta: np.ndarray, master: np.ndarray, codes: np.ndarray, fmt
-) -> np.ndarray:
-    """``clip(m − delta + ε_q)`` with ``ε_q = clip(w) − codes·lsb``.
-
-    ``ε_q`` is the *fractional* (sub-LSB) quantization error of the master.
-    The master is clamped to the representable range first; otherwise a
-    master pushed outside the range by a fault would make ``ε_q`` the full
-    clipping error and the float weights would drift without bound.
-    """
-    low, high = fmt.min_value, fmt.max_value
-    # np.clip spelled as two ufuncs (same values, a fraction of the
-    # call overhead on these small tensors)
-    eps = np.minimum(np.maximum(master, low), high)
-    eps -= fmt.dequantize_code(codes)
-    updated = masked - delta
-    updated += eps
-    np.maximum(updated, low, out=updated)
-    return np.minimum(updated, high, out=updated)
 
 
 def quantizer_for(mask_set: FaultMaskSet) -> WeightQuantizer:

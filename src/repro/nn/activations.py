@@ -72,19 +72,21 @@ class Identity(Activation):
 class Sigmoid(Activation):
     """Logistic sigmoid ``1 / (1 + exp(-x))``.
 
-    The implementation is numerically stable for large-magnitude inputs by
-    branching on the sign of ``x``.
+    Numerically stable for large-magnitude inputs: with ``e = exp(-|x|)``
+    (never overflows) the output is ``1 / (1 + e)`` for ``x >= 0`` and
+    ``e / (1 + e)`` otherwise.  The select is branch-free, and each element
+    is the same float as evaluating ``1 / (1 + exp(-x))`` on the
+    non-negative inputs and ``exp(x) / (1 + exp(x))`` on the rest, because
+    ``-|x| == x`` for ``x < 0`` (also for ±0, ±inf and NaN).
     """
 
     name = "sigmoid"
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        out = np.empty_like(x)
-        pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        expx = np.exp(x[~pos])
-        out[~pos] = expx / (1.0 + expx)
+        e = np.exp(-np.abs(x))
+        out = np.where(x >= 0, 1.0, e)
+        out /= 1.0 + e
         return out
 
     def backward(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:

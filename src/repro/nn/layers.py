@@ -5,9 +5,17 @@ an FC-oriented design — so the framework provides a dense layer plus the
 plumbing MATIC needs:
 
 * every layer keeps *master* float weights (``weights`` / ``bias``) that the
-  optimizer updates, and
+  optimizer updates,
 * optionally carries *effective* weights (``effective_weights`` /
-  ``effective_bias``) that the forward and backward passes use instead.
+  ``effective_bias``) that the forward and backward passes use instead, and
+* writes its gradients into ``grad_weights`` / ``grad_bias`` in place.
+
+Inside a :class:`~repro.nn.network.Network` the four parameter and gradient
+arrays are reshaped views into the network's flat parameter and gradient
+vectors (see :meth:`~repro.nn.network.Network.flat_buffers`), so writing
+them in place is what lets the optimizer update the whole network in one
+numpy pass.  Assigning a new array to one of them is allowed; the network
+re-packs its vectors around it on the next step.
 
 Memory-adaptive training sets the effective weights each iteration to the
 quantized, fault-masked view of the master weights, so the gradients computed
@@ -146,7 +154,8 @@ class DenseLayer(Layer):
             raise ValueError(
                 f"input has {x.shape[1]} features, layer expects {self.in_features}"
             )
-        z = x @ self.active_weights + self.active_bias
+        z = x @ self.active_weights
+        z += self.active_bias
         y = self.activation.forward(z)
         if training:
             self._input = x
@@ -159,8 +168,9 @@ class DenseLayer(Layer):
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         """Backpropagate ``grad_output`` (dJ/dy) through the layer.
 
-        Stores ``grad_weights`` / ``grad_bias`` (gradients with respect to
-        the *active* weights) and returns dJ/dx for the previous layer.
+        Writes ``grad_weights`` / ``grad_bias`` in place (gradients with
+        respect to the *active* weights) and returns dJ/dx for the previous
+        layer.
         """
         if self._input is None or self._pre_activation is None or self._output is None:
             raise RuntimeError("backward() called before forward(training=True)")
@@ -175,8 +185,8 @@ class DenseLayer(Layer):
                 self._pre_activation, self._output
             )
 
-        self.grad_weights = self._input.T @ grad_z
-        self.grad_bias = np.sum(grad_z, axis=0)
+        np.matmul(self._input.T, grad_z, out=self.grad_weights)
+        np.add.reduce(grad_z, axis=0, out=self.grad_bias)
         return grad_z @ self.active_weights.T
 
     # -------------------------------------------------------- bookkeeping

@@ -4,6 +4,14 @@ A :class:`Network` is an ordered list of :class:`~repro.nn.layers.DenseLayer`
 objects built from a *topology* — the paper describes its benchmark models by
 topology strings such as ``100-32-10`` (mnist), ``400-8-1`` (facedet),
 ``2-16-2`` (inversek2j) and ``6-16-1`` (bscholes).
+
+The network packs every layer's parameters into one contiguous float64
+vector, all weights first and then all biases, and the gradients into a
+second vector of the same layout (:meth:`Network.flat_buffers`).  Each
+layer's ``weights``, ``bias``, ``grad_weights`` and ``grad_bias`` are
+reshaped views into those vectors, so an optimizer step or a
+memory-adaptive update is one numpy pass over the whole network instead of
+one per tensor.
 """
 
 from __future__ import annotations
@@ -121,6 +129,8 @@ class Network:
                     rng=rng,
                 )
             )
+        #: ``(params, grads, views)`` once packed; see :meth:`flat_buffers`
+        self._flat: tuple[np.ndarray, np.ndarray, list[np.ndarray]] | None = None
 
     # ------------------------------------------------------------ compute
 
@@ -138,8 +148,9 @@ class Network:
     def backward(self, predictions: np.ndarray, targets: np.ndarray) -> float:
         """Compute the loss and backpropagate its gradient.
 
-        Returns the scalar loss value.  Layer gradients are left in each
-        layer's ``grad_weights`` / ``grad_bias``.
+        Returns the scalar loss value.  Layer gradients are written into
+        each layer's ``grad_weights`` / ``grad_bias`` (in place, so into the
+        flat gradient vector when the buffers are packed).
         """
         loss_value = self.loss.value(predictions, targets)
         grad = self.loss.gradient(predictions, targets)
@@ -168,6 +179,73 @@ class Network:
         """Number of weight parameters (the values stored in weight SRAM)."""
         return sum(layer.weights.size for layer in self.layers)
 
+    def flat_buffers(self) -> tuple[np.ndarray, np.ndarray]:
+        """The flat ``(params, grads)`` float64 vectors behind every layer.
+
+        Both hold all weight matrices first (layer order, row-major), then
+        all bias vectors, so ``params[:num_weights]`` is every weight.  The
+        vectors are packed on first use and re-packed whenever a layer
+        tensor is no longer the view bound to them (after ``layer.weights =
+        arr``, after unpickling, or for a network pickled before the flat
+        layout existed).  Re-packing copies the current values in and
+        rebinds the layers' attributes to views of the new vectors.
+        """
+        flat = self._flat
+        if flat is None or any(
+            tensor is not view for tensor, view in zip(self._tensors(), flat[2])
+        ):
+            flat = self._flat = self._pack()
+        return flat[0], flat[1]
+
+    def _tensors(self) -> list[np.ndarray]:
+        """Every layer's weights, bias, grad_weights and grad_bias, in order."""
+        return [
+            tensor
+            for layer in self.layers
+            for tensor in (layer.weights, layer.bias, layer.grad_weights, layer.grad_bias)
+        ]
+
+    def _pack(self) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+        """Copy every layer tensor into fresh flat vectors and rebind views."""
+        params = np.empty(self.num_parameters)
+        grads = np.empty_like(params)
+        for layer, (weights, bias), (grad_weights, grad_bias) in zip(
+            self.layers, self.unflatten(params), self.unflatten(grads)
+        ):
+            weights[...], bias[...] = layer.weights, layer.bias
+            grad_weights[...], grad_bias[...] = layer.grad_weights, layer.grad_bias
+            layer.weights, layer.bias = weights, bias
+            layer.grad_weights, layer.grad_bias = grad_weights, grad_bias
+        return params, grads, self._tensors()
+
+    def unflatten(self, vector: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per-layer ``(weights, bias)`` views of a vector in the flat layout.
+
+        ``vector`` has :attr:`num_parameters` elements ordered as
+        :meth:`flat_buffers` orders them; writing a view writes ``vector``.
+        """
+        shapes = [layer.weights.shape for layer in self.layers]
+        shapes += [layer.bias.shape for layer in self.layers]
+        views = []
+        start = 0
+        for shape in shapes:
+            stop = start + int(np.prod(shape))
+            views.append(vector[start:stop].reshape(shape))
+            start = stop
+        depth = len(self.layers)
+        return list(zip(views[:depth], views[depth:]))
+
+    def __getstate__(self) -> dict:
+        # the flat vectors are rebuilt on demand; pickles hold per-layer
+        # arrays only
+        state = self.__dict__.copy()
+        state.pop("_flat", None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._flat = None
+
     def get_weights(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Return copies of ``(weights, bias)`` per layer."""
         return [(layer.weights.copy(), layer.bias.copy()) for layer in self.layers]
@@ -191,11 +269,15 @@ class Network:
             layer.clear_effective()
 
     def copy(self) -> "Network":
-        """Deep copy of the network (weights and topology, not caches)."""
+        """Deep copy of the network (weights and topology, not caches).
+
+        Activations are passed as instances, so parameterized ones (e.g.
+        ``LeakyReLU(0.3)``) keep their parameters.
+        """
         clone = Network(
             self.widths,
-            hidden_activation=self.layers[0].activation.name if self.layers else "sigmoid",
-            output_activation=self.layers[-1].activation.name if self.layers else "sigmoid",
+            hidden_activation=self.layers[0].activation,
+            output_activation=self.layers[-1].activation,
             loss=self.loss,
         )
         clone.name = self.name

@@ -5,11 +5,14 @@ and Adam are provided because the memory-adaptive training experiments
 converge noticeably faster with them on the synthetic datasets, and because a
 production library would be expected to offer them.
 
-Optimizers operate on a :class:`~repro.nn.network.Network` by reading each
-layer's ``grad_weights`` / ``grad_bias`` and updating the *master* float
-weights.  Memory-adaptive training wraps this update with its own rule (see
-:class:`repro.matic.training.MemoryAdaptiveTrainer`) but reuses the same
-optimizer implementations for the raw gradient step.
+Optimizers operate on a :class:`~repro.nn.network.Network` through its flat
+parameter and gradient vectors (:meth:`~repro.nn.network.Network.flat_buffers`):
+one :meth:`Optimizer.parameter_delta` call over the whole gradient vector and
+one in-place subtraction from the *master* float weights per step.  Every
+update is element-wise, so this is bit-identical to updating each layer
+tensor on its own.  Memory-adaptive training wraps the delta with its own
+rule (see :class:`repro.matic.training.MemoryAdaptiveTrainer`) but reuses the
+same optimizer implementations for the raw gradient step.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ __all__ = ["Optimizer", "SGD", "MomentumSGD", "Adam", "get_optimizer"]
 
 
 class Optimizer:
-    """Base class: per-parameter update of a network's master weights."""
+    """Base class: element-wise update of a network's master weights."""
 
     name = "base"
 
@@ -33,7 +36,8 @@ class Optimizer:
 
     def step(self, network: Network) -> None:
         """Apply one update using the gradients currently stored in layers."""
-        raise NotImplementedError
+        params, grads = network.flat_buffers()
+        params -= self.parameter_delta("parameters", grads)
 
     def reset(self) -> None:
         """Clear any internal state (momentum buffers, moment estimates)."""
@@ -47,7 +51,10 @@ class Optimizer:
         """Return the update delta (to be *subtracted*) for one parameter.
 
         ``key`` identifies the parameter tensor (stable across iterations) so
-        stateful optimizers can keep per-parameter buffers.
+        stateful optimizers can keep per-parameter buffers; :meth:`step`
+        passes a network's whole flat gradient vector under one key.  The
+        returned array may be the optimizer's own state: read it, do not
+        modify it.
         """
         raise NotImplementedError
 
@@ -55,21 +62,10 @@ class Optimizer:
         return f"{type(self).__name__}(lr={self.learning_rate})"
 
 
-def _iter_parameters(network: Network):
-    """Yield (key, parameter array, gradient array) triples for a network."""
-    for index, layer in enumerate(network.layers):
-        yield f"layer{index}.weights", layer.weights, layer.grad_weights
-        yield f"layer{index}.bias", layer.bias, layer.grad_bias
-
-
 class SGD(Optimizer):
     """Plain stochastic gradient descent: ``w ← w − α ∇J``."""
 
     name = "sgd"
-
-    def step(self, network: Network) -> None:
-        for _, param, grad in _iter_parameters(network):
-            param -= self.learning_rate * grad
 
     def parameter_delta(self, key: str, gradient: np.ndarray) -> np.ndarray:
         return self.learning_rate * gradient
@@ -93,14 +89,11 @@ class MomentumSGD(Optimizer):
     def parameter_delta(self, key: str, gradient: np.ndarray) -> np.ndarray:
         velocity = self._velocity.get(key)
         if velocity is None:
-            velocity = np.zeros_like(gradient)
-        velocity = self.momentum * velocity + self.learning_rate * gradient
-        self._velocity[key] = velocity
+            velocity = self._velocity[key] = np.zeros_like(gradient, dtype=float)
+        # in place, with the rounding of ``μ·v + α·g``
+        velocity *= self.momentum
+        velocity += self.learning_rate * gradient
         return velocity
-
-    def step(self, network: Network) -> None:
-        for key, param, grad in _iter_parameters(network):
-            param -= self.parameter_delta(key, grad)
 
 
 class Adam(Optimizer):
@@ -143,10 +136,6 @@ class Adam(Optimizer):
         m_hat = m / (1.0 - self.beta1**t)
         v_hat = v / (1.0 - self.beta2**t)
         return self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
-
-    def step(self, network: Network) -> None:
-        for key, param, grad in _iter_parameters(network):
-            param -= self.parameter_delta(key, grad)
 
 
 _REGISTRY = {cls.name: cls for cls in (SGD, MomentumSGD, Adam)}

@@ -108,8 +108,9 @@ class Trainer:
         predictions = self.network.forward(inputs, training=True)
         loss_value = self.network.backward(predictions, targets)
         if self.weight_decay:
-            for layer in self.network.layers:
-                layer.grad_weights = layer.grad_weights + self.weight_decay * layer.weights
+            params, grads = self.network.flat_buffers()
+            weights = slice(self.network.num_weights)
+            grads[weights] += self.weight_decay * params[weights]
         self.optimizer.step(self.network)
         return loss_value
 

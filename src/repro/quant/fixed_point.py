@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["FixedPointFormat"]
+__all__ = ["FixedPointFormat", "round_to_code"]
 
 
 @dataclass(frozen=True)
@@ -79,32 +79,11 @@ class FixedPointFormat:
         """Quantize float values to integer codes with saturation.
 
         Rounding is round-half-away-from-zero to match typical hardware
-        quantizers; results are ``int64``.  Up to 53 bits every code is an
-        exact float64, so the clip happens on floats:
-        ``trunc(x + copysign(0.5, x))`` is the same rounding as
-        ``sign(x)·floor(|x| + 0.5)`` (the sum is the same float up to sign),
-        for ±0, exact half-LSB ties and ±inf alike.  Wider formats decide
-        saturation in the float domain but clip on integers: float64 cannot
-        represent every code above 53 bits, so clipping against
-        ``float(max_code)`` would overflow the int64 cast for ``total_bits``
-        near 64.
+        quantizers; results are ``int64``.  See :func:`round_to_code`.
         """
-        values = np.asarray(values, dtype=float)
-        scaled = values / self.scale
-        if self.total_bits <= 53:
-            rounded = np.trunc(scaled + np.copysign(0.5, scaled))
-            # np.clip, as two ufuncs: its Python wrapper costs more than the
-            # clip itself on the small tensors training quantizes every step
-            clipped = np.minimum(np.maximum(rounded, self.min_code), self.max_code)
-            return np.asarray(clipped).astype(np.int64)
-        rounded = np.sign(scaled) * np.floor(np.abs(scaled) + 0.5)
-        # float(max_code) rounds up to 2**(total_bits-1) for wide formats, so
-        # anything at or above it saturates; float(min_code) is always exact.
-        high = rounded >= float(self.max_code)
-        low = rounded <= float(self.min_code)
-        in_range = np.where(high | low, 0.0, rounded).astype(np.int64)
-        codes = np.where(high, self.max_code, np.where(low, self.min_code, in_range))
-        return codes.astype(np.int64)
+        return round_to_code(
+            values, self.scale, self.min_code, self.max_code, wide=self.total_bits > 53
+        )
 
     def dequantize_code(self, codes: np.ndarray) -> np.ndarray:
         """Convert integer codes back to float values."""
@@ -198,3 +177,47 @@ class FixedPointFormat:
         int_bits = max(int(np.ceil(np.log2(max_abs_value + 1e-12))), 0)
         frac_bits = max(total_bits - 1 - int_bits, 0)
         return cls(total_bits=total_bits, frac_bits=frac_bits)
+
+
+def round_to_code(
+    values: np.ndarray,
+    lsb: float | np.ndarray,
+    min_code: int | np.ndarray,
+    max_code: int | np.ndarray,
+    *,
+    wide: bool,
+) -> np.ndarray:
+    """Saturating round-half-away-from-zero of ``values / lsb`` to ``int64``.
+
+    The bounds are scalars (one format) or arrays broadcast against
+    ``values`` (one format per element, as memory-adaptive training uses
+    over a network's flat parameter vector).  ``lsb`` must be a power of
+    two, so ``values / lsb`` is exact and per-element bounds round each
+    element exactly as its own format would.
+
+    Up to 53 bits (``wide=False``) every code is an exact float64, so the
+    clip happens on floats: ``trunc(x + copysign(0.5, x))`` is the same
+    rounding as ``sign(x)·floor(|x| + 0.5)`` (the sum is the same float up
+    to sign), for ±0, exact half-LSB ties and ±inf alike.  Wider formats
+    (``wide=True``, integer bounds) decide saturation in the float domain
+    but clip on integers: float64 cannot represent every code above 53 bits,
+    so clipping against ``float(max_code)`` would overflow the int64 cast
+    for ``total_bits`` near 64.
+    """
+    scaled = np.asarray(values, dtype=float) / lsb
+    if not wide:
+        rounded = np.trunc(scaled + np.copysign(0.5, scaled))
+        # np.clip, as two ufuncs: its Python wrapper costs more than the
+        # clip itself on the small tensors training quantizes every step
+        clipped = np.minimum(np.maximum(rounded, min_code), max_code)
+        return np.asarray(clipped).astype(np.int64)
+    min_code = np.asarray(min_code, dtype=np.int64)
+    max_code = np.asarray(max_code, dtype=np.int64)
+    rounded = np.sign(scaled) * np.floor(np.abs(scaled) + 0.5)
+    # float(max_code) rounds up to 2**(total_bits-1) for wide formats, so
+    # anything at or above it saturates; float(min_code) is always exact.
+    high = rounded >= max_code.astype(float)
+    low = rounded <= min_code.astype(float)
+    in_range = np.where(high | low, 0.0, rounded).astype(np.int64)
+    codes = np.where(high, max_code, np.where(low, min_code, in_range))
+    return codes.astype(np.int64)

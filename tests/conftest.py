@@ -3,6 +3,10 @@
 Heavier artifacts (trained networks, generated datasets, chip instances) are
 session-scoped so the suite stays fast; tests that mutate state build their
 own instances instead of using these fixtures.
+
+The artifact cache is hermetic: the whole session reads and writes a fresh
+temporary cache directory, never the user's ``~/.cache/repro-matic``, so a
+stale artifact written by other code cannot fail the suite.
 """
 
 from __future__ import annotations
@@ -12,8 +16,20 @@ import pytest
 
 from repro.accelerator import Snnac, SnnacConfig
 from repro.datasets import get_benchmark
+from repro.experiments.cache import set_default_cache
 from repro.nn import Dataset, Network, Trainer, one_hot
 from repro.quant import WeightQuantizer
+
+
+@pytest.fixture(scope="session", autouse=True)
+def hermetic_cache(tmp_path_factory):
+    """Point ``REPRO_CACHE_DIR`` at a session temp dir and reset the default
+    cache; tests that set their own cache env still override it."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("repro-cache")))
+        set_default_cache(None)
+        yield
+    set_default_cache(None)
 
 
 @pytest.fixture(scope="session")

@@ -153,3 +153,53 @@ class TestProperties:
         out = Softmax().forward(np.array(rows))
         assert np.all(out >= 0.0)
         np.testing.assert_allclose(out.sum(axis=-1), np.ones(len(rows)), atol=1e-9)
+
+
+def _two_branch_sigmoid(x):
+    """The masked two-branch sigmoid the branch-free form replaced."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    expx = np.exp(x[~pos])
+    out[~pos] = expx / (1.0 + expx)
+    return out
+
+
+_SIGMOID_EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, 745.0, -745.0, 5e-324, -5e-324,
+                  2.2250738585072014e-308, -2.2250738585072014e-308, 709.8, -709.8]
+
+
+class TestSigmoidBranchFree:
+    @staticmethod
+    def _assert_same_floats(got, expected):
+        got, expected = np.asarray(got), np.asarray(expected)
+        assert got.shape == expected.shape
+        assert np.array_equal(np.isnan(got), np.isnan(expected))
+        finite = ~np.isnan(expected)
+        assert np.array_equal(got[finite].view(np.uint64), expected[finite].view(np.uint64))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                st.floats(-800, 800),
+                st.sampled_from(_SIGMOID_EDGES),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_matches_two_branch_formula_bit_for_bit(self, values):
+        x = np.array(values, dtype=float)
+        self._assert_same_floats(Sigmoid().forward(x), _two_branch_sigmoid(x))
+        grid = x.reshape(1, -1)
+        self._assert_same_floats(Sigmoid().forward(grid), _two_branch_sigmoid(grid))
+
+    @pytest.mark.parametrize("value", _SIGMOID_EDGES)
+    def test_edge_values_and_zero_dimensional_input(self, value):
+        x = np.array(value)
+        got = Sigmoid().forward(x)
+        assert isinstance(got, np.ndarray) and got.shape == ()
+        self._assert_same_floats(got, _two_branch_sigmoid(x))

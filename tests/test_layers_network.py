@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.nn import DenseLayer, Network, Topology, parse_topology
+from repro.nn import DenseLayer, LeakyReLU, Network, Topology, Trainer, parse_topology
 
 
 class TestDenseLayer:
@@ -157,6 +160,14 @@ class TestNetwork:
         clone.layers[0].weights += 1.0
         assert not np.allclose(net.layers[0].weights, clone.layers[0].weights)
 
+    def test_copy_keeps_activation_parameters(self):
+        net = Network("3-4-2", hidden_activation=LeakyReLU(0.3),
+                      output_activation=LeakyReLU(0.2), seed=1)
+        clone = net.copy()
+        assert [layer.activation.negative_slope for layer in clone.layers] == [0.3, 0.2]
+        x = np.full((2, 3), -5.0)
+        assert np.array_equal(net.predict(x), clone.predict(x))
+
     def test_num_parameters_matches_topology(self):
         net = Network("100-32-10", seed=0)
         assert net.num_parameters == Topology("100-32-10").num_parameters
@@ -214,3 +225,82 @@ class TestNetwork:
             layer.set_effective(np.zeros_like(layer.weights), np.zeros_like(layer.bias))
         net.clear_effective()
         assert all(layer.effective_weights is None for layer in net.layers)
+
+
+def _batches(seed=0, count=6):
+    rng = np.random.default_rng(seed)
+    return [(rng.normal(size=(8, 4)), rng.random((8, 2))) for _ in range(count)]
+
+
+def _train(net, batches):
+    trainer = Trainer(net, optimizer="momentum", learning_rate=0.2, weight_decay=1e-3)
+    for x, t in batches:
+        trainer.train_step(x, t)
+    return net
+
+
+def _assert_same_parameters(a, b):
+    for left, right in zip(a.layers, b.layers):
+        assert np.array_equal(left.weights, right.weights)
+        assert np.array_equal(left.bias, right.bias)
+
+
+class TestFlatBuffers:
+    def test_layout_is_weights_then_biases_as_views(self):
+        net = Network("4-5-3-2", seed=1)
+        params, grads = net.flat_buffers()
+        expected = [layer.weights.ravel() for layer in net.layers]
+        expected += [layer.bias.ravel() for layer in net.layers]
+        assert np.array_equal(params, np.concatenate(expected))
+        assert params.shape == grads.shape == (net.num_parameters,)
+        for layer in net.layers:
+            for tensor, base in ((layer.weights, params), (layer.bias, params),
+                                 (layer.grad_weights, grads), (layer.grad_bias, grads)):
+                assert np.shares_memory(tensor, base)
+        assert net.flat_buffers()[0] is params
+
+    def test_assigned_weights_are_trained(self):
+        batches = _batches()
+        net = _train(Network("4-6-2", seed=1), batches[:2])
+        replacement = np.full((4, 6), 0.25)
+        net.layers[0].weights = replacement
+        expected = net.copy()
+        x, t = batches[2]
+        Trainer(net, optimizer="sgd", learning_rate=0.5).train_step(x, t)
+        Trainer(expected, optimizer="sgd", learning_rate=0.5).train_step(x, t)
+        _assert_same_parameters(net, expected)
+        assert not np.array_equal(net.layers[0].weights, replacement)
+        params, _ = net.flat_buffers()
+        assert np.array_equal(params[:24], net.layers[0].weights.ravel())
+
+    def test_pickle_round_trip_trains_identically(self):
+        batches = _batches(1)
+        net = _train(Network("4-6-3-2", seed=2), batches[:3])
+        restored = pickle.loads(pickle.dumps(net))
+        _assert_same_parameters(_train(net, batches[3:]), _train(restored, batches[3:]))
+
+    def test_state_without_buffers_trains_identically(self):
+        """A network pickled before the flat layout existed has no buffers."""
+        batches = _batches(2)
+        net = _train(Network("4-6-3-2", seed=3), batches[:3])
+        state = copy.deepcopy({k: v for k, v in vars(net).items() if k != "_flat"})
+        legacy = Network.__new__(Network)
+        legacy.__setstate__(state)
+        _assert_same_parameters(_train(net, batches[3:]), _train(legacy, batches[3:]))
+
+    def test_pickled_state_holds_no_flat_buffer(self):
+        net = Network("4-6-2", seed=4)
+        unpacked = pickle.dumps(net)
+        net.flat_buffers()
+        assert "_flat" not in net.__getstate__()
+        assert pickle.dumps(net) == unpacked
+
+    def test_copy_buffers_are_independent(self):
+        batches = _batches(3)
+        net = _train(Network("4-6-2", seed=5), batches[:2])
+        clone = net.copy()
+        assert not np.shares_memory(net.flat_buffers()[0], clone.flat_buffers()[0])
+        before = net.get_weights()
+        _train(clone, batches[2:])
+        for (w, b), layer in zip(before, net.layers):
+            assert np.array_equal(w, layer.weights) and np.array_equal(b, layer.bias)

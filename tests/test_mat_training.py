@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.matic import FaultMaskSet, MemoryAdaptiveTrainer
+from repro.matic import FaultMaskSet, MemoryAdaptiveTrainer, training
 from repro.nn import Dataset, Network, Trainer, classification_error, one_hot
 from repro.nn.optimizers import MomentumSGD
 from repro.quant import FixedPointFormat, WeightQuantizer
@@ -66,6 +66,12 @@ class TestUpdateRule:
         other = Network("8-8-8-2", seed=2)
         masks = FaultMaskSet.identity(other, quantizer)
         with pytest.raises(ValueError):
+            MemoryAdaptiveTrainer(network, masks)
+
+    def test_mask_shape_mismatch_rejected(self, quantizer):
+        network = Network("8-6-2", seed=2)
+        masks = FaultMaskSet.identity(Network("8-8-2", seed=2), quantizer)
+        with pytest.raises(ValueError, match="mask shapes"):
             MemoryAdaptiveTrainer(network, masks)
 
     def test_loss_decreases_during_adaptation(self, toy_dataset, quantizer):
@@ -157,22 +163,32 @@ class TestFusedStepRegression:
                 assert np.array_equal(fused.effective_weights, reference.effective_weights)
                 assert np.array_equal(fused.effective_bias, reference.effective_bias)
 
-    def test_one_quantize_per_tensor_per_step(self, toy_dataset, quantizer, monkeypatch):
-        network = Network("8-12-6-2", loss="binary_cross_entropy", seed=2)
-        masks = FaultMaskSet.random(network, quantizer, 0.1, rng=4)
-        trainer = MemoryAdaptiveTrainer(network, masks, seed=3)
-        calls = {"quantize_to_code": 0, "quantize": 0}
-        for name in calls:
-            original = getattr(FixedPointFormat, name)
+    def test_one_quantize_pass_per_step(self, toy_dataset, quantizer, monkeypatch):
+        """Any depth quantizes the whole flat parameter vector in one call of
+        the shared rounding helper, never tensor by tensor."""
+        calls = {"round_to_code": 0, "quantize_to_code": 0, "quantize": 0}
 
-            def counted(self, values, _original=original, _name=name):
-                calls[_name] += 1
-                return _original(self, values)
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
 
-            monkeypatch.setattr(FixedPointFormat, name, counted)
-        trainer.train_step(toy_dataset.inputs[:32], toy_dataset.targets[:32])
-        # one weight tensor and one bias tensor per layer
-        assert calls == {"quantize_to_code": 2 * len(network.layers), "quantize": 0}
+            return wrapper
+
+        for name in ("quantize_to_code", "quantize"):
+            monkeypatch.setattr(
+                FixedPointFormat, name, counted(name, getattr(FixedPointFormat, name))
+            )
+        monkeypatch.setattr(
+            training, "round_to_code", counted("round_to_code", training.round_to_code)
+        )
+        for topology in ("8-2", "8-12-2", "8-12-6-2"):
+            network = Network(topology, loss="binary_cross_entropy", seed=2)
+            masks = FaultMaskSet.random(network, quantizer, 0.1, rng=4)
+            trainer = MemoryAdaptiveTrainer(network, masks, seed=3)
+            calls.update(dict.fromkeys(calls, 0))
+            trainer.train_step(toy_dataset.inputs[:32], toy_dataset.targets[:32])
+            assert calls == {"round_to_code": 1, "quantize_to_code": 0, "quantize": 0}, topology
 
 
 class TestRecoveryBehaviour:

@@ -14,6 +14,7 @@ from repro.nn import (
     Trainer,
     classification_error,
     get_optimizer,
+    iterate_minibatches,
     one_hot,
 )
 
@@ -147,3 +148,69 @@ class TestTrainer:
         )
         history = Trainer(net, learning_rate=0.5, epochs=30, seed=3).fit(toy_regression_dataset)
         assert history.final_train_loss < 0.01
+
+
+class _PerTensorReference:
+    """The per-tensor update rule: one optimizer update per weight tensor and
+    per bias tensor, each with its own state, as ``Optimizer.step`` used to
+    apply it."""
+
+    def __init__(self, kind, learning_rate, momentum=0.9, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.kind, self.learning_rate = kind, learning_rate
+        self.momentum, self.beta1, self.beta2, self.eps = momentum, beta1, beta2, eps
+        self.state = {}
+
+    def delta(self, key, gradient):
+        lr = self.learning_rate
+        if self.kind == "sgd":
+            return lr * gradient
+        if self.kind == "momentum":
+            velocity = self.state.get(key, np.zeros_like(gradient))
+            velocity = self.momentum * velocity + lr * gradient
+            self.state[key] = velocity
+            return velocity
+        m, v, t = self.state.get(key, (np.zeros_like(gradient), np.zeros_like(gradient), 0))
+        t += 1
+        m = self.beta1 * m + (1.0 - self.beta1) * gradient
+        v = self.beta2 * v + (1.0 - self.beta2) * gradient * gradient
+        self.state[key] = (m, v, t)
+        m_hat = m / (1.0 - self.beta1**t)
+        v_hat = v / (1.0 - self.beta2**t)
+        return lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+    def train_epoch(self, network, dataset, batch_size, rng, weight_decay):
+        for x, y in iterate_minibatches(dataset.inputs, dataset.targets, batch_size, rng=rng):
+            network.backward(network.forward(x, training=True), y)
+            for layer in network.layers:
+                layer.grad_weights = layer.grad_weights + weight_decay * layer.weights
+            for index, layer in enumerate(network.layers):
+                layer.weights -= self.delta(f"layer{index}.weights", layer.grad_weights)
+                layer.bias -= self.delta(f"layer{index}.bias", layer.grad_bias)
+
+
+class TestFlatStepRegression:
+    """One flat optimizer pass per step must equal per-tensor updates bit for bit."""
+
+    @pytest.mark.parametrize(
+        "name,learning_rate", [("sgd", 0.3), ("momentum", 0.3), ("adam", 0.02)]
+    )
+    def test_fit_matches_per_tensor_reference_every_epoch(
+        self, toy_dataset, name, learning_rate
+    ):
+        optimizer = get_optimizer(name, learning_rate=learning_rate)
+        network = Network("8-12-6-2", loss="binary_cross_entropy", seed=3)
+        reference_net = network.copy()
+        weight_decay, lr_decay, batch_size = 1e-3, 0.9, 16
+        trainer = Trainer(network, optimizer=optimizer, batch_size=batch_size, epochs=1,
+                          lr_decay=lr_decay, weight_decay=weight_decay, seed=4)
+        reference = _PerTensorReference(name, learning_rate)
+        reference_rng = np.random.default_rng(4)
+        for _ in range(4):
+            trainer.fit(toy_dataset)
+            reference.train_epoch(
+                reference_net, toy_dataset, batch_size, reference_rng, weight_decay
+            )
+            reference.learning_rate *= lr_decay
+            for layer, expected in zip(network.layers, reference_net.layers):
+                assert np.array_equal(layer.weights, expected.weights)
+                assert np.array_equal(layer.bias, expected.bias)
