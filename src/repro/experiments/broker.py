@@ -7,12 +7,22 @@ expired-lease stealing, exponential backoff with deterministic jitter, and
 poison quarantine, coordinated by a tiny dependency-free TCP broker so any
 host that can open a socket can join a fleet.  Every failed attempt goes
 through one :func:`fail_transition` and every lease is judged by
-:func:`~repro.experiments.cache.lease_expired`, so a task's retry trajectory
-is the same whether the broker or the coordinator's inline drain ran it.
-Completed results publish through the artifact cache (kind
-``sweep-shard``) and quarantined tasks through the poison store (kind
-``sweep-poison``); :func:`recall_settled` reads both, which is why a
-restarted coordinator resumes with zero recomputation.
+:func:`~repro.experiments.cache.lease_expired`.  Completed results publish
+through the artifact cache (kind ``sweep-shard``) and quarantined tasks
+through the poison store (kind ``sweep-poison``); :func:`recall_settled`
+reads both, which is why a restarted coordinator resumes with zero
+recomputation.
+
+State machine
+-------------
+All broker state lives in one socket-free :class:`SweepLedger`.  Its op
+handlers check a request and decide the transition; the transition itself is
+one journal entry, which ``SweepLedger._commit`` journals and then hands to
+``SweepLedger._apply`` — the function journal replay runs — so ``_apply`` is
+the only writer of ledger state (bar the unjournaled heartbeat renewal) and
+live and replayed state agree by construction.  :class:`BrokerServer` is a
+thin TCP transport around a ledger, and the coordinator's no-broker fallback
+runs the same worker loop against an in-memory one.
 
 Wire protocol
 -------------
@@ -73,10 +83,11 @@ idempotently); an embedded broker that dies is restarted by the coordinator
 the coordinator's own polls try a dead socket only twice before its
 liveness check runs, so recovery does not wait out the reconnect window; a
 coordinator that can never reach its broker — or whose restart budget is
-spent — drains the remaining tasks inline with full retry/quarantine
-semantics rather than hanging.  Chaos for all of this is injected by plan
-via the wire-level rules in :mod:`repro.experiments.faults`
-(``drop-connection``, ``partition``, ``delay-ack``, ``kill-broker``).
+spent — drains the remaining tasks inline on an in-memory ledger (the same
+leases, retries, backoff and quarantine) rather than hanging.  Chaos for all
+of this is injected by plan via the wire-level rules in
+:mod:`repro.experiments.faults` (``drop-connection``, ``partition``,
+``delay-ack``, ``kill-broker``).
 
 Standalone usage::
 
@@ -137,6 +148,7 @@ __all__ = [
     "parse_address",
     "main",
     "recall_settled",
+    "SweepLedger",
 ]
 
 #: Default port for ``python -m repro.experiments.broker serve``.
@@ -175,9 +187,7 @@ def fail_transition(
     now + :func:`~repro.experiments.engine.retry_delay` (exponential backoff
     with deterministic per-digest jitter) — or, once ``attempts > retries``,
     ``("poison", payload)`` where the payload is store-shaped
-    ``{task, digest, attempts, errors}``.  The broker server journals the
-    outcome and the coordinator's inline drain applies the same transition,
-    so a task's retry trajectory does not depend on which of them ran it.
+    ``{task, digest, attempts, errors}``, for :class:`SweepLedger` to commit.
     """
     now = time.time() if now is None else now
     digest = record["digest"]
@@ -214,12 +224,7 @@ def recall_settled(
         return "result", payload["result"]
     payload = store.get(POISON_KIND, poison_key(label, worker_name, digest))
     if payload is not None:
-        return "poison", QuarantinedTask(
-            task=payload.get("task"),
-            digest=digest,
-            attempts=int(payload.get("attempts", 0)),
-            errors=tuple(payload.get("errors", ())),
-        )
+        return "poison", QuarantinedTask.from_payload(digest, payload)
     return None
 
 
@@ -245,7 +250,7 @@ class BrokerUnreachable(BrokerError):
     """No reply within the bounded reconnect-with-backoff budget."""
 
 
-# ---------------------------------------------------------------------- server
+# ---------------------------------------------------------------------- ledger
 
 
 class _SweepState:
@@ -259,6 +264,355 @@ class _SweepState:
         self.backoff = DEFAULT_BACKOFF
         self.shutdown = False
         self.journal: Any = None  # unbuffered append handle, opened lazily
+
+    def close_journal(self) -> None:
+        if self.journal is not None:
+            try:
+                self.journal.close()
+            except OSError:
+                pass
+            self.journal = None
+
+
+class SweepLedger:
+    """The broker's socket-free state machine (see "State machine" above).
+
+    :meth:`handle` answers one request object with one reply object.  Each
+    transition is committed by :meth:`_commit` — journaled to
+    ``<journal_dir>/<sweep_id>.journal``, then applied by :meth:`_apply`,
+    which replay runs too.  ``journal_dir=None`` keeps everything in memory
+    and writes nothing to disk; otherwise construction replays the journals
+    there.  One lock guards every sweep: requests are short and an append is
+    one unbuffered write, so it is never held across anything slow.
+
+    ``fault_plan`` is consulted for :class:`~repro.experiments.faults.KillBroker`
+    only: after journaling the N-th completion the process SIGKILLs itself
+    *without replying* — the nastiest crash point, because the worker's ack
+    is lost and must be re-sent to the restarted broker.
+    """
+
+    def __init__(
+        self, journal_dir: Path | str | None = None, fault_plan: FaultPlan | None = None
+    ):
+        self.journal_dir = Path(journal_dir) if journal_dir is not None else None
+        self._lock = threading.Lock()
+        self._sweeps: dict[str, _SweepState] = {}
+        self._completions = 0  # journaled `done` entries, replayed included
+        self._kill_after = fault_plan.broker_kill_after() if fault_plan else None
+        if self.journal_dir is not None:
+            self.journal_dir.mkdir(parents=True, exist_ok=True)
+            self._replay_all()
+
+    def close(self) -> None:
+        with self._lock:
+            for state in self._sweeps.values():
+                state.close_journal()
+
+    # ----------------------------------------------------------- journaling
+
+    def _journal_path(self, sweep_id: str) -> Path:
+        return self.journal_dir / f"{sweep_id}.journal"
+
+    def _commit(
+        self, sweep_id: str, state: _SweepState, entry: dict[str, Any], now: float
+    ) -> None:
+        """Journal one transition, then apply it: the only way state changes."""
+        if self.journal_dir is not None:
+            if state.journal is None:
+                # buffering=0: each write() is one os.write, so a SIGKILL can
+                # tear at most the final line — which replay skips
+                state.journal = open(self._journal_path(sweep_id), "ab", buffering=0)
+            state.journal.write(json.dumps(entry).encode() + b"\n")
+        self._apply(state, entry, now)
+
+    def _replay_all(self) -> None:
+        now = time.time()
+        for path in sorted(self.journal_dir.glob("*.journal")):
+            sweep_id = path.stem
+            if not _SWEEP_ID.match(sweep_id):
+                continue
+            state = _SweepState()
+            try:
+                with open(path, "rb") as handle:
+                    for raw in handle:
+                        try:
+                            entry = json.loads(raw)
+                        except ValueError:
+                            continue  # torn tail from a mid-append SIGKILL
+                        if isinstance(entry, dict):
+                            self._apply(state, entry, now)
+            except OSError:
+                continue
+            self._sweeps[sweep_id] = state
+
+    def _apply(self, state: _SweepState, entry: dict[str, Any], now: float) -> None:
+        """Apply one journal entry, live or replayed."""
+        kind = entry.get("entry")
+        if kind == "sweep":
+            state.retries = int(entry.get("retries", DEFAULT_QUEUE_RETRIES))
+            state.backoff = float(entry.get("backoff", DEFAULT_BACKOFF))
+            state.shutdown = False  # a (re)enqueueing coordinator reopens it
+        elif kind == "task":
+            record = entry.get("record")
+            if isinstance(record, dict) and record.get("digest") not in state.settled:
+                digest = record["digest"]
+                state.tasks[digest] = record
+                state.leases.pop(digest, None)  # a requeue implies release
+        elif kind == "lease":
+            digest = entry.get("digest")
+            if digest in state.tasks:
+                # the hard deadline is absolute — a replay never extends it;
+                # the heartbeat deadline is (re)armed from `now`
+                state.leases[digest] = new_lease(
+                    entry.get("owner", "unknown"),
+                    float(entry.get("lease_seconds", 15.0)),
+                    entry.get("hard_deadline"),
+                    now,
+                )
+        elif kind in ("done", "poison"):
+            digest = entry.get("digest")
+            if kind == "done":
+                state.settled[digest] = {
+                    "status": "done",
+                    "result": entry.get("result"),
+                    "attempts": int(entry.get("attempts", 1)),
+                }
+                # replayed completions count toward the kill threshold too,
+                # so a restarted broker does not die again at the same trigger
+                self._completions += 1
+            else:
+                state.settled[digest] = {
+                    "status": "poison",
+                    "task": entry.get("task"),
+                    "attempts": int(entry.get("attempts", 0)),
+                    "errors": list(entry.get("errors", [])),
+                }
+            state.tasks.pop(digest, None)
+            state.leases.pop(digest, None)
+        elif kind == "shutdown":
+            state.shutdown = True
+
+    # ------------------------------------------------------------- dispatch
+
+    def handle(self, message: dict[str, Any]) -> dict[str, Any]:
+        """Answer one request object (every op but the transport's ``stop``)."""
+        op = message.get("op")
+        try:
+            with self._lock:
+                if op == "ping":
+                    return {"ok": True, "sweeps": len(self._sweeps)}
+                sweep_id = message.get("sweep")
+                if not isinstance(sweep_id, str) or not _SWEEP_ID.match(sweep_id):
+                    return {"ok": False, "error": f"invalid sweep id {sweep_id!r}"}
+                handler = getattr(self, f"_op_{op}", None)
+                if handler is None:
+                    return {"ok": False, "error": f"unknown op {op!r}"}
+                return handler(sweep_id, message)
+        except Exception as error:  # never let one request kill the server
+            return {"ok": False, "error": f"{type(error).__name__}: {error}"}
+
+    def _counts(self, state: _SweepState) -> dict[str, int]:
+        return {
+            "pending": len(state.tasks),
+            "leased": len(state.leases),
+            "settled": len(state.settled),
+        }
+
+    def _reap(self, sweep_id: str, state: _SweepState, now: float) -> None:
+        """Steal expired leases: requeue (or quarantine) their tasks.
+
+        Runs inside claim/collect handling — the coordinator polls collect
+        continuously, so expiry is noticed within one poll interval without
+        any background thread.  ``_apply`` leases only pending tasks and
+        drops a task's lease when it settles, so every lease has its record.
+        """
+        for digest in [d for d, lease in state.leases.items() if lease_expired(lease, now)]:
+            owner = state.leases[digest].get("owner", "unknown")
+            self._fail_record(
+                sweep_id,
+                state,
+                state.tasks[digest],
+                f"lease expired: worker {owner} died or hung past its deadline",
+                now,
+            )
+
+    def _fail_record(
+        self,
+        sweep_id: str,
+        state: _SweepState,
+        record: dict[str, Any],
+        error: str,
+        now: float,
+    ) -> str:
+        outcome, payload = fail_transition(
+            record, error, state.retries, state.backoff, now
+        )
+        if outcome == "poison":  # payload: {task, digest, attempts, errors}
+            entry = {"entry": "poison", **payload, "errors": list(payload["errors"])}
+        else:
+            entry = {"entry": "task", "record": payload}
+        self._commit(sweep_id, state, entry, now)
+        return outcome
+
+    # ------------------------------------------------------------ operations
+
+    def _op_enqueue(self, sweep_id: str, message: dict[str, Any]) -> dict[str, Any]:
+        # validate the whole request before touching any state: a refused
+        # enqueue must leave neither a sweep nor a journal line behind
+        state = self._sweeps.get(sweep_id) or _SweepState()
+        retries = int(message.get("retries", state.retries))
+        backoff = float(message.get("backoff", state.backoff))
+        records = message.get("records", [])
+        for record in records:
+            digest = record.get("digest") if isinstance(record, dict) else None
+            if not isinstance(digest, str) or not digest:
+                return {"ok": False, "error": f"task record without digest: {record!r}"}
+        self._sweeps[sweep_id] = state
+        now = time.time()
+        entry = {"entry": "sweep", "retries": retries, "backoff": backoff}
+        self._commit(sweep_id, state, entry, now)
+        enqueued = known = 0
+        for record in records:
+            if record["digest"] in state.settled or record["digest"] in state.tasks:
+                known += 1
+                continue
+            self._commit(sweep_id, state, {"entry": "task", "record": record}, now)
+            enqueued += 1
+        return {"ok": True, "enqueued": enqueued, "known": known, **self._counts(state)}
+
+    def _op_claim(self, sweep_id: str, message: dict[str, Any]) -> dict[str, Any]:
+        state = self._sweeps.get(sweep_id) or _SweepState()  # unknown: nothing to claim
+        now = time.time()
+        self._reap(sweep_id, state, now)
+        base = {"ok": True, "shutdown": state.shutdown, **self._counts(state)}
+        if state.shutdown:
+            return {**base, "record": None}
+        owner = str(message.get("owner", ""))
+        # idempotent re-claim: a worker whose claim reply was lost re-sends
+        # the claim after reconnecting and gets its own lease's record back
+        for digest, lease in state.leases.items():
+            if lease.get("owner") == owner and digest in state.tasks:
+                return {**base, "record": self._public_record(state.tasks[digest])}
+        lease_seconds = float(message.get("lease_seconds", 15.0))
+        hard_timeout = message.get("hard_timeout")
+        for digest in sorted(state.tasks):
+            record = state.tasks[digest]
+            if digest in state.leases or record.get("not_before", 0.0) > now:
+                continue
+            hard = now + float(hard_timeout) if hard_timeout is not None else None
+            entry = {
+                "entry": "lease",
+                "digest": digest,
+                "owner": owner,
+                "lease_seconds": lease_seconds,
+                "hard_deadline": hard,
+            }
+            self._commit(sweep_id, state, entry, now)
+            return {**base, **self._counts(state), "record": self._public_record(record)}
+        return {**base, "record": None}
+
+    @staticmethod
+    def _public_record(record: dict[str, Any]) -> dict[str, Any]:
+        return {
+            "digest": record["digest"],
+            "task": record.get("task"),
+            "attempts": record.get("attempts", 0),
+            "errors": list(record.get("errors", [])),
+        }
+
+    def _op_renew(self, sweep_id: str, message: dict[str, Any]) -> dict[str, Any]:
+        state = self._sweeps.get(sweep_id)
+        digest = message.get("digest")
+        owner = message.get("owner")
+        lease = state.leases.get(digest) if state is not None else None
+        now = time.time()
+        if lease is None or lease.get("owner") != owner or lease_expired(lease, now):
+            return {"ok": True, "renewed": False}
+        # renewals are deliberately not journaled: replay re-arms live leases
+        # with a fresh grace window instead (see the module docstring)
+        lease["heartbeat_deadline"] = now + float(message.get("lease_seconds", 15.0))
+        return {"ok": True, "renewed": True}
+
+    def _op_complete(self, sweep_id: str, message: dict[str, Any]) -> dict[str, Any]:
+        state = self._sweeps.get(sweep_id)
+        digest = message.get("digest")
+        if state is None or digest in state.settled:
+            # a re-sent or late (post-steal) completion, or one for a retired
+            # sweep (everything settled, coordinator gone): already absorbed
+            return {"ok": True, "settled": True, "duplicate": True}
+        entry = {
+            "entry": "done",
+            "digest": digest,
+            "result": message.get("result"),
+            "attempts": int(message.get("attempts", 1)),
+        }
+        self._commit(sweep_id, state, entry, time.time())
+        if self._kill_after is not None and self._completions == self._kill_after:
+            # chaos: die after journaling, before replying — the worker's ack
+            # is lost and must be re-sent to the replayed broker.  `==` (not
+            # `>=`): after a restart replays exactly this many completions,
+            # the counter passes the threshold without ever equalling it again
+            os.kill(os.getpid(), signal.SIGKILL)
+        return {"ok": True, "settled": True, "duplicate": False}
+
+    def _op_fail(self, sweep_id: str, message: dict[str, Any]) -> dict[str, Any]:
+        state = self._sweeps.get(sweep_id)
+        digest = message.get("digest")
+        if state is None or digest in state.settled:
+            return {"ok": True, "state": "settled"}
+        record = state.tasks.get(digest)
+        if record is None:
+            return {"ok": True, "state": "stale"}
+        # idempotency key: the attempt count the worker saw at claim time.
+        # A re-sent fail (dropped reply) or a fail racing a reaper's requeue
+        # finds the count already advanced and is ignored
+        if int(message.get("attempts", -1)) != int(record.get("attempts", 0)):
+            return {"ok": True, "state": "stale"}
+        outcome = self._fail_record(
+            sweep_id, state, record, str(message.get("error", "unknown error")), time.time()
+        )
+        return {
+            "ok": True,
+            "state": "quarantined" if outcome == "poison" else "requeued",
+        }
+
+    def _op_collect(self, sweep_id: str, message: dict[str, Any]) -> dict[str, Any]:
+        state = self._sweeps.get(sweep_id) or _SweepState()  # unknown: nothing settled
+        self._reap(sweep_id, state, time.time())
+        wanted = message.get("digests", [])
+        found = {
+            digest: state.settled[digest]
+            for digest in wanted
+            if digest in state.settled
+        }
+        counts = self._counts(state)
+        return {
+            "ok": True,
+            "settled": found,
+            "pending": counts["pending"],
+            "leased": counts["leased"],
+            "settled_count": counts["settled"],
+        }
+
+    def _op_shutdown(self, sweep_id: str, message: dict[str, Any]) -> dict[str, Any]:
+        state = self._sweeps.get(sweep_id)
+        if state is not None and not state.shutdown:
+            self._commit(sweep_id, state, {"entry": "shutdown"}, time.time())
+        return {"ok": True}
+
+    def _op_retire(self, sweep_id: str, message: dict[str, Any]) -> dict[str, Any]:
+        state = self._sweeps.pop(sweep_id, None)
+        if state is not None:
+            state.close_journal()
+        if self.journal_dir is not None:
+            try:
+                self._journal_path(sweep_id).unlink()
+            except OSError:
+                pass
+        return {"ok": True}
+
+
+# ---------------------------------------------------------------------- server
 
 
 class _BrokerRequestHandler(socketserver.StreamRequestHandler):
@@ -288,19 +642,10 @@ class _BrokerRequestHandler(socketserver.StreamRequestHandler):
 
 
 class BrokerServer(socketserver.ThreadingTCPServer):
-    """The TCP task broker: per-sweep lease state + an append-only journal.
+    """The TCP transport around one :class:`SweepLedger`.
 
-    One instance serves any number of sweeps concurrently (state is keyed by
-    sweep id).  All mutation happens under one lock — requests are short
-    and the journal append is a single unbuffered write, so the lock is
-    never held across anything slow.  On construction every
-    ``<journal_dir>/*.journal`` is replayed, restoring pending tasks,
-    settled results, and live leases (with a fresh heartbeat grace window).
-
-    ``fault_plan`` is consulted for :class:`~repro.experiments.faults.KillBroker`
-    only: after journaling the N-th completion the process SIGKILLs itself
-    *without replying* — the nastiest crash point, because the worker's ack
-    is lost and must be re-sent to the restarted broker.
+    Requests go to :meth:`SweepLedger.handle`, except ``stop``, which ends
+    this server loop.  ``journal_dir`` defaults to ``<cache root>/broker``.
     """
 
     allow_reuse_address = True  # restarts rebind the same port immediately
@@ -313,406 +658,36 @@ class BrokerServer(socketserver.ThreadingTCPServer):
         fault_plan: FaultPlan | None = None,
         allow_stop: bool = True,
     ):
-        self.journal_dir = (
-            Path(journal_dir)
-            if journal_dir is not None
-            else Path(default_cache().root) / "broker"
-        )
-        self.journal_dir.mkdir(parents=True, exist_ok=True)
+        if journal_dir is None:
+            journal_dir = Path(default_cache().root) / "broker"
+        self.ledger = SweepLedger(journal_dir, fault_plan)
         self.allow_stop = allow_stop
-        self._lock = threading.Lock()
-        self._sweeps: dict[str, _SweepState] = {}
-        self._completions = 0  # journaled `done` entries, replayed included
-        self._kill_after = fault_plan.broker_kill_after() if fault_plan else None
         super().__init__(tuple(address), _BrokerRequestHandler)
-        self._replay_all()
 
     @property
     def address(self) -> tuple[str, int]:
         return self.server_address[0], self.server_address[1]
 
-    # ----------------------------------------------------------- journaling
-
-    def _journal_path(self, sweep_id: str) -> Path:
-        return self.journal_dir / f"{sweep_id}.journal"
-
-    def _journal(self, sweep_id: str, state: _SweepState, entry: dict[str, Any]) -> None:
-        if state.journal is None:
-            # buffering=0: each write() is one os.write, so a SIGKILL can
-            # tear at most the final line — which replay skips
-            state.journal = open(self._journal_path(sweep_id), "ab", buffering=0)
-        state.journal.write(json.dumps(entry).encode() + b"\n")
-
-    def _replay_all(self) -> None:
-        for path in sorted(self.journal_dir.glob("*.journal")):
-            sweep_id = path.stem
-            if not _SWEEP_ID.match(sweep_id):
-                continue
-            state = _SweepState()
-            replayed_done = 0
-            try:
-                with open(path, "rb") as handle:
-                    for raw in handle:
-                        try:
-                            entry = json.loads(raw)
-                        except ValueError:
-                            continue  # torn tail from a mid-append SIGKILL
-                        if isinstance(entry, dict):
-                            replayed_done += self._apply(state, entry)
-            except OSError:
-                continue
-            self._sweeps[sweep_id] = state
-            # replayed completions count toward the kill threshold so a
-            # restarted broker does not die again at the same trigger
-            self._completions += replayed_done
-
-    @staticmethod
-    def _apply(state: _SweepState, entry: dict[str, Any]) -> int:
-        """Apply one journal entry; returns 1 for a replayed completion."""
-        kind = entry.get("entry")
-        if kind == "sweep":
-            state.retries = int(entry.get("retries", DEFAULT_QUEUE_RETRIES))
-            state.backoff = float(entry.get("backoff", DEFAULT_BACKOFF))
-            state.shutdown = False  # a (re)enqueueing coordinator reopens it
-        elif kind == "task":
-            record = entry.get("record")
-            if isinstance(record, dict) and record.get("digest") not in state.settled:
-                digest = record["digest"]
-                state.tasks[digest] = record
-                state.leases.pop(digest, None)  # a requeue implies release
-        elif kind == "lease":
-            digest = entry.get("digest")
-            if digest in state.tasks:
-                lease = new_lease(
-                    entry.get("owner", "unknown"), float(entry.get("lease_seconds", 15.0))
-                )
-                # hard deadline stays absolute — a replay never extends it
-                lease["hard_deadline"] = entry.get("hard_deadline")
-                state.leases[digest] = lease
-        elif kind == "done":
-            digest = entry.get("digest")
-            state.settled[digest] = {
-                "status": "done",
-                "result": entry.get("result"),
-                "attempts": int(entry.get("attempts", 1)),
-            }
-            state.tasks.pop(digest, None)
-            state.leases.pop(digest, None)
-            return 1
-        elif kind == "poison":
-            digest = entry.get("digest")
-            state.settled[digest] = {
-                "status": "poison",
-                "task": entry.get("task"),
-                "attempts": int(entry.get("attempts", 0)),
-                "errors": list(entry.get("errors", [])),
-            }
-            state.tasks.pop(digest, None)
-            state.leases.pop(digest, None)
-        elif kind == "shutdown":
-            state.shutdown = True
-        return 0
-
-    # ------------------------------------------------------------- dispatch
-
     def handle_message(self, message: dict[str, Any]) -> dict[str, Any]:
-        op = message.get("op")
-        try:
-            with self._lock:
-                if op == "ping":
-                    return {"ok": True, "sweeps": len(self._sweeps)}
-                if op == "stop":
-                    if not self.allow_stop:
-                        return {"ok": False, "error": "stop is disabled on this broker"}
-                    threading.Thread(target=self.shutdown, daemon=True).start()
-                    return {"ok": True, "stopping": True}
-                sweep_id = message.get("sweep")
-                if not isinstance(sweep_id, str) or not _SWEEP_ID.match(sweep_id):
-                    return {"ok": False, "error": f"invalid sweep id {sweep_id!r}"}
-                handler = getattr(self, f"_op_{op}", None)
-                if handler is None:
-                    return {"ok": False, "error": f"unknown op {op!r}"}
-                return handler(sweep_id, message)
-        except Exception as error:  # never let one request kill the server
-            return {"ok": False, "error": f"{type(error).__name__}: {error}"}
-
-    def _counts(self, state: _SweepState) -> dict[str, int]:
-        return {
-            "pending": len(state.tasks),
-            "leased": len(state.leases),
-            "settled": len(state.settled),
-        }
-
-    def _reap(self, sweep_id: str, state: _SweepState, now: float) -> None:
-        """Steal expired leases: requeue (or quarantine) their tasks.
-
-        Runs inside claim/collect handling — the coordinator polls collect
-        continuously, so expiry is noticed within one poll interval without
-        any background thread.
-        """
-        for digest in [d for d, lease in state.leases.items() if lease_expired(lease, now)]:
-            lease = state.leases.pop(digest)
-            record = state.tasks.get(digest)
-            if record is None or digest in state.settled:
-                continue  # the holder finished before dying; nothing to requeue
-            owner = lease.get("owner", "unknown")
-            self._fail_record(
-                sweep_id,
-                state,
-                record,
-                f"lease expired: worker {owner} died or hung past its deadline",
-                now,
-            )
-
-    def _fail_record(
-        self,
-        sweep_id: str,
-        state: _SweepState,
-        record: dict[str, Any],
-        error: str,
-        now: float,
-    ) -> str:
-        outcome, payload = fail_transition(
-            record, error, state.retries, state.backoff, now
-        )
-        digest = record["digest"]
-        if outcome == "poison":
-            entry = {
-                "entry": "poison",
-                "digest": digest,
-                "task": payload.get("task"),
-                "attempts": payload["attempts"],
-                "errors": list(payload["errors"]),
-            }
-            self._journal(sweep_id, state, entry)
-            state.settled[digest] = {
-                "status": "poison",
-                "task": payload.get("task"),
-                "attempts": payload["attempts"],
-                "errors": list(payload["errors"]),
-            }
-            state.tasks.pop(digest, None)
-        else:
-            self._journal(sweep_id, state, {"entry": "task", "record": payload})
-            state.tasks[digest] = payload
-        state.leases.pop(digest, None)
-        return outcome
-
-    # ------------------------------------------------------------ operations
-
-    def _op_enqueue(self, sweep_id: str, message: dict[str, Any]) -> dict[str, Any]:
-        state = self._sweeps.setdefault(sweep_id, _SweepState())
-        state.retries = int(message.get("retries", state.retries))
-        state.backoff = float(message.get("backoff", state.backoff))
-        state.shutdown = False
-        self._journal(
-            sweep_id,
-            state,
-            {"entry": "sweep", "retries": state.retries, "backoff": state.backoff},
-        )
-        enqueued = known = 0
-        for record in message.get("records", []):
-            digest = record.get("digest")
-            if not isinstance(digest, str) or not digest:
-                return {"ok": False, "error": f"task record without digest: {record!r}"}
-            if digest in state.settled or digest in state.tasks:
-                known += 1
-                continue
-            state.tasks[digest] = record
-            self._journal(sweep_id, state, {"entry": "task", "record": record})
-            enqueued += 1
-        return {"ok": True, "enqueued": enqueued, "known": known, **self._counts(state)}
-
-    def _op_claim(self, sweep_id: str, message: dict[str, Any]) -> dict[str, Any]:
-        state = self._sweeps.get(sweep_id)
-        if state is None:
-            return {"ok": True, "record": None, "shutdown": False, "pending": 0,
-                    "leased": 0, "settled": 0}
-        now = time.time()
-        self._reap(sweep_id, state, now)
-        base = {"ok": True, "shutdown": state.shutdown, **self._counts(state)}
-        if state.shutdown:
-            return {**base, "record": None}
-        owner = str(message.get("owner", ""))
-        # idempotent re-claim: a worker whose claim reply was lost re-sends
-        # the claim after reconnecting and gets its own lease's record back
-        for digest, lease in state.leases.items():
-            if lease.get("owner") == owner and digest in state.tasks:
-                return {**base, "record": self._public_record(state.tasks[digest])}
-        lease_seconds = float(message.get("lease_seconds", 15.0))
-        hard_timeout = message.get("hard_timeout")
-        for digest in sorted(state.tasks):
-            record = state.tasks[digest]
-            if digest in state.leases or record.get("not_before", 0.0) > now:
-                continue
-            hard = now + float(hard_timeout) if hard_timeout is not None else None
-            state.leases[digest] = new_lease(owner, lease_seconds, hard, now)
-            self._journal(
-                sweep_id,
-                state,
-                {
-                    "entry": "lease",
-                    "digest": digest,
-                    "owner": owner,
-                    "lease_seconds": lease_seconds,
-                    "hard_deadline": hard,
-                },
-            )
-            base = {"ok": True, "shutdown": False, **self._counts(state)}
-            return {**base, "record": self._public_record(record)}
-        return {**base, "record": None}
-
-    @staticmethod
-    def _public_record(record: dict[str, Any]) -> dict[str, Any]:
-        return {
-            "digest": record["digest"],
-            "task": record.get("task"),
-            "attempts": record.get("attempts", 0),
-            "errors": list(record.get("errors", [])),
-        }
-
-    def _op_renew(self, sweep_id: str, message: dict[str, Any]) -> dict[str, Any]:
-        state = self._sweeps.get(sweep_id)
-        digest = message.get("digest")
-        owner = message.get("owner")
-        lease = state.leases.get(digest) if state is not None else None
-        now = time.time()
-        if lease is None or lease.get("owner") != owner or lease_expired(lease, now):
-            return {"ok": True, "renewed": False}
-        # renewals are deliberately not journaled: replay re-arms live leases
-        # with a fresh grace window instead (see the module docstring)
-        lease["heartbeat_deadline"] = now + float(message.get("lease_seconds", 15.0))
-        return {"ok": True, "renewed": True}
-
-    def _op_complete(self, sweep_id: str, message: dict[str, Any]) -> dict[str, Any]:
-        state = self._sweeps.get(sweep_id)
-        if state is None:
-            # retired sweep (everything settled, coordinator gone): a late
-            # or re-sent completion is acknowledged as already absorbed
-            return {"ok": True, "settled": True, "duplicate": True}
-        digest = message.get("digest")
-        if digest in state.settled:
-            return {"ok": True, "settled": True, "duplicate": True}
-        attempts = int(message.get("attempts", 1))
-        entry = {
-            "entry": "done",
-            "digest": digest,
-            "result": message.get("result"),
-            "attempts": attempts,
-        }
-        self._journal(sweep_id, state, entry)
-        state.settled[digest] = {
-            "status": "done",
-            "result": message.get("result"),
-            "attempts": attempts,
-        }
-        state.tasks.pop(digest, None)
-        state.leases.pop(digest, None)
-        self._completions += 1
-        if self._kill_after is not None and self._completions == self._kill_after:
-            # chaos: die after journaling, before replying — the worker's ack
-            # is lost and must be re-sent to the replayed broker.  `==` (not
-            # `>=`): after a restart replays exactly this many completions,
-            # the counter passes the threshold without ever equalling it again
-            os.kill(os.getpid(), signal.SIGKILL)
-        return {"ok": True, "settled": True, "duplicate": False}
-
-    def _op_fail(self, sweep_id: str, message: dict[str, Any]) -> dict[str, Any]:
-        state = self._sweeps.get(sweep_id)
-        digest = message.get("digest")
-        if state is None or digest in (state.settled if state else {}):
-            return {"ok": True, "state": "settled"}
-        record = state.tasks.get(digest)
-        if record is None:
-            return {"ok": True, "state": "stale"}
-        # idempotency key: the attempt count the worker saw at claim time.
-        # A re-sent fail (dropped reply) or a fail racing a reaper's requeue
-        # finds the count already advanced and is ignored
-        if int(message.get("attempts", -1)) != int(record.get("attempts", 0)):
-            return {"ok": True, "state": "stale"}
-        outcome = self._fail_record(
-            sweep_id, state, record, str(message.get("error", "unknown error")), time.time()
-        )
-        return {
-            "ok": True,
-            "state": "quarantined" if outcome == "poison" else "requeued",
-        }
-
-    def _op_collect(self, sweep_id: str, message: dict[str, Any]) -> dict[str, Any]:
-        state = self._sweeps.get(sweep_id)
-        if state is None:
-            return {"ok": True, "settled": {}, "pending": 0, "leased": 0, "settled_count": 0}
-        self._reap(sweep_id, state, time.time())
-        wanted = message.get("digests", [])
-        found = {
-            digest: state.settled[digest]
-            for digest in wanted
-            if digest in state.settled
-        }
-        counts = self._counts(state)
-        return {
-            "ok": True,
-            "settled": found,
-            "pending": counts["pending"],
-            "leased": counts["leased"],
-            "settled_count": counts["settled"],
-        }
-
-    def _op_shutdown(self, sweep_id: str, message: dict[str, Any]) -> dict[str, Any]:
-        state = self._sweeps.get(sweep_id)
-        if state is not None and not state.shutdown:
-            state.shutdown = True
-            self._journal(sweep_id, state, {"entry": "shutdown"})
-        return {"ok": True}
-
-    def _op_retire(self, sweep_id: str, message: dict[str, Any]) -> dict[str, Any]:
-        state = self._sweeps.pop(sweep_id, None)
-        if state is not None and state.journal is not None:
-            try:
-                state.journal.close()
-            except OSError:
-                pass
-        try:
-            self._journal_path(sweep_id).unlink()
-        except OSError:
-            pass
-        return {"ok": True}
+        if message.get("op") != "stop":
+            return self.ledger.handle(message)
+        if not self.allow_stop:
+            return {"ok": False, "error": "stop is disabled on this broker"}
+        threading.Thread(target=self.shutdown, daemon=True).start()
+        return {"ok": True, "stopping": True}
 
     def server_close(self) -> None:
-        with self._lock:
-            for state in self._sweeps.values():
-                if state.journal is not None:
-                    try:
-                        state.journal.close()
-                    except OSError:
-                        pass
-                    state.journal = None
+        self.ledger.close()
         super().server_close()
 
 
-@dataclass
-class _ServeConfig:
-    """Picklable description of one broker server process."""
-
-    host: str
-    port: int
-    journal_dir: str
-    fault_plan: FaultPlan | None = None
-    allow_stop: bool = True
-
-
-def _broker_server_main(config: _ServeConfig, conn: Any = None) -> None:
+def _broker_server_main(
+    address: tuple[str, int], journal_dir: str, fault_plan: FaultPlan | None, conn: Any
+) -> None:
     """Subprocess entry: bind, report the bound port, serve until stopped."""
-    server = BrokerServer(
-        (config.host, config.port),
-        config.journal_dir,
-        config.fault_plan,
-        allow_stop=config.allow_stop,
-    )
-    if conn is not None:
-        host, port = server.address
-        conn.send(("ready", host, port))
-        conn.close()
+    server = BrokerServer(address, journal_dir, fault_plan)
+    conn.send(("ready", *server.address))
+    conn.close()
     with server:
         server.serve_forever(poll_interval=0.1)
 
@@ -826,6 +801,24 @@ class BrokerClient:
             return None
 
 
+class _LocalClient:
+    """:class:`BrokerClient`'s call surface over an in-process :class:`SweepLedger`."""
+
+    def __init__(self, ledger: SweepLedger):
+        self.ledger = ledger
+
+    def call(self, message: dict[str, Any], attempts: int | None = None) -> dict[str, Any]:
+        reply = self.ledger.handle(message)
+        if not reply.get("ok", False):
+            raise BrokerError(str(reply.get("error", "request refused")))
+        return reply
+
+    try_call = call  # an in-process ledger is never unreachable
+
+    def close(self) -> None:
+        pass
+
+
 # ---------------------------------------------------------------------- worker
 
 
@@ -907,9 +900,12 @@ class _WireHeartbeat(threading.Thread):
 
 
 class _BrokerWorker:
-    """The claim/execute/publish loop one broker worker runs to exhaustion."""
+    """The claim/execute/publish loop one broker worker runs to exhaustion.
 
-    def __init__(self, config: _BrokerWorkerConfig):
+    A ``client`` (:class:`_LocalClient`) replaces both socket connections.
+    """
+
+    def __init__(self, config: _BrokerWorkerConfig, client: _LocalClient | None = None):
         self.config = config
         self.owner = f"w{config.worker_index}:pid{os.getpid()}:{time.monotonic_ns():x}"
         self.completed = 0
@@ -917,6 +913,9 @@ class _BrokerWorker:
         self.injector = (
             plan.for_worker(config.worker_index) if plan is not None else NULL_INJECTOR
         )
+        if client is not None:
+            self.client = self.heartbeat_client = client
+            return
         self.client = BrokerClient(
             config.address,
             timeout=config.connect_timeout,
@@ -1077,7 +1076,7 @@ def _broker_worker_main(config: _BrokerWorkerConfig) -> None:
 
 
 class _EmbeddedBroker:
-    """A broker subprocess the coordinator owns, restartable on a pinned port."""
+    """The one broker-process spawner: embedded mode and ``serve --supervise``."""
 
     def __init__(self, journal_dir: Path, fault_plan: FaultPlan | None, context: Any):
         self.journal_dir = journal_dir
@@ -1091,19 +1090,14 @@ class _EmbeddedBroker:
         parent, child = self.context.Pipe()
         self.process = self.context.Process(
             target=_broker_server_main,
-            args=(
-                _ServeConfig(
-                    self.host, self.port, str(self.journal_dir), self.fault_plan
-                ),
-                child,
-            ),
+            args=((self.host, self.port), str(self.journal_dir), self.fault_plan, child),
             daemon=True,
         )
         self.process.start()
         child.close()
         try:
             if not parent.poll(15.0):
-                raise RuntimeError("embedded broker did not report ready within 15s")
+                raise RuntimeError("broker did not report ready within 15s")
             _tag, host, port = parent.recv()
         finally:
             parent.close()
@@ -1261,15 +1255,10 @@ class BrokerBackend:
         }
         self.last_stats = stats
         store = config.store
-        retries = int(self.retries) if self.retries is not None else DEFAULT_QUEUE_RETRIES
-        backoff = float(self.backoff) if self.backoff is not None else DEFAULT_BACKOFF
         digests = [task_digest(task) for task in tasks]
         positions: dict[str, list[int]] = {}
         for position, digest in enumerate(digests):
             positions.setdefault(digest, []).append(position)
-        tasks_by_digest = {
-            digest: tasks[slots[0]] for digest, slots in positions.items()
-        }
 
         def consume(digest: str, kind: str, value: Any) -> list[tuple[int, Any]]:
             if kind == "poison":
@@ -1293,92 +1282,72 @@ class BrokerBackend:
             return
 
         stats["enqueued"] = len(positions)
-        method = self.mp_context or ("fork" if sys.platform == "linux" else "spawn")
-        context = multiprocessing.get_context(method)
-        broker: _EmbeddedBroker | None = None
-        client: BrokerClient | None = None
-        processes: list[Any] = []
-        inline: _BrokerWorker | None = None
-        try:
-            # phase 2 — resolve the broker (spawn embedded, or probe attached)
-            if self.address is None:
-                journal_dir = (
-                    Path(self.journal_dir)
-                    if self.journal_dir is not None
-                    else Path(store.root) / "broker"
-                )
-                broker = _EmbeddedBroker(journal_dir, config.fault_plan, context)
-                try:
-                    address = broker.start()
-                except (OSError, RuntimeError, EOFError):
-                    yield from self._drain_inline(
-                        config, tasks_by_digest, positions, stats, consume,
-                        retries, backoff,
-                    )
-                    return
-            else:
-                address = parse_address(self.address)
-            config = replace(config, address=address)
-            client = BrokerClient(
-                address,
-                timeout=float(self.connect_timeout),
-                attempts=int(self.connect_attempts),
-                backoff=float(self.connect_backoff),
-            )
-            if client.try_call({"op": "ping"}) is None:
-                # graceful degradation: a coordinator that can never reach
-                # its broker finishes the sweep itself instead of hanging
-                yield from self._drain_inline(
-                    config, tasks_by_digest, positions, stats, consume,
-                    retries, backoff,
-                )
-                return
-
-            # phase 3 — enqueue only the unsettled remainder
-            records = [
+        retries = int(self.retries) if self.retries is not None else DEFAULT_QUEUE_RETRIES
+        backoff = float(self.backoff) if self.backoff is not None else DEFAULT_BACKOFF
+        enqueue = {
+            "op": "enqueue",
+            "sweep": config.sweep_id,
+            "retries": retries,
+            "backoff": backoff,
+            "records": [
                 {
                     "digest": digest,
-                    "task": _encode(tasks_by_digest[digest]),
+                    "task": _encode(tasks[positions[digest][0]]),
                     "attempts": 0,
                     "not_before": 0.0,
                     "errors": [],
                 }
                 for digest in sorted(positions)
-            ]
-            client.call(
-                {
-                    "op": "enqueue",
-                    "sweep": config.sweep_id,
-                    "retries": retries,
-                    "backoff": backoff,
-                    "records": records,
-                }
+            ],
+        }
+
+        def unsettled() -> dict[str, Any]:
+            """The enqueue request narrowed to the still-unsettled records."""
+            records = [r for r in enqueue["records"] if r["digest"] in positions]
+            return {**enqueue, "records": records}
+
+        method = self.mp_context or ("fork" if sys.platform == "linux" else "spawn")
+        context = multiprocessing.get_context(method)
+        broker: _EmbeddedBroker | None = None
+        processes: list[Any] = []
+        inline: _BrokerWorker | None = None
+        next_index = 0
+        spawn_budget = workers + (
+            int(self.max_respawns) if self.max_respawns is not None else 4 * workers + 4
+        )
+
+        def spawn() -> None:
+            nonlocal next_index
+            process = context.Process(
+                target=_broker_worker_main,
+                args=(replace(config, worker_index=next_index),),
+                daemon=True,
             )
+            process.start()
+            processes.append(process)
+            next_index += 1
 
-            # phase 4 — spawn the fleet and stream results out of the broker
-            next_index = 0
-            spawn_budget = workers + (
-                int(self.max_respawns)
-                if self.max_respawns is not None
-                else 4 * workers + 4
+        if self.address is None:
+            journal_dir = (
+                Path(self.journal_dir)
+                if self.journal_dir is not None
+                else Path(store.root) / "broker"
             )
+            broker = _EmbeddedBroker(journal_dir, config.fault_plan, context)
+        client: BrokerClient | None = None
+        try:
+            client = self._connect(broker)
+            if client is not None:
+                # phase 2 — enqueue only the unsettled remainder, spawn the fleet
+                config = replace(config, address=client.address)
+                client.call(enqueue)
+                for _ in range(min(workers, len(positions))):
+                    spawn()
 
-            def spawn() -> None:
-                nonlocal next_index
-                process = context.Process(
-                    target=_broker_worker_main,
-                    args=(replace(config, worker_index=next_index),),
-                    daemon=True,
-                )
-                process.start()
-                processes.append(process)
-                next_index += 1
-
-            for _ in range(min(workers, len(positions))):
-                spawn()
-
+            # phase 3 — stream results out of the broker until every task
+            # settles or the broker is lost for good
             unreachable_rounds = 0
-            while positions:
+            while client is not None and positions:
                 progressed = False
                 # an embedded broker's liveness is checked below every round:
                 # a dead one must be restarted there, not waited out over the
@@ -1409,19 +1378,7 @@ class BrokerBackend:
                         # the broker has no trace of our remaining tasks (a
                         # restart with a wiped journal): re-enqueue them —
                         # idempotent against anything it does still know
-                        client.try_call(
-                            {
-                                "op": "enqueue",
-                                "sweep": config.sweep_id,
-                                "retries": retries,
-                                "backoff": backoff,
-                                "records": [
-                                    record
-                                    for record in records
-                                    if record["digest"] in positions
-                                ],
-                            }
-                        )
+                        client.try_call(unsettled())
                 else:
                     unreachable_rounds += 1
                 # the store also settles tasks: local workers publish there
@@ -1456,31 +1413,18 @@ class BrokerBackend:
                 # broker liveness: restart the embedded broker on its pinned
                 # port (journal replay makes the restart lossless); an
                 # attached broker is someone else's to restart — after two
-                # full unreachable windows, drain inline rather than hang
+                # full unreachable windows it counts as lost
                 if broker is not None and not broker.alive():
-                    if stats["broker_restarts"] < int(self.max_broker_restarts):
-                        stats["broker_restarts"] += 1
-                        try:
-                            broker.start()
-                            progressed = True
-                        except (OSError, RuntimeError, EOFError):
-                            yield from self._drain_inline(
-                                config, tasks_by_digest, positions, stats,
-                                consume, retries, backoff,
-                            )
-                            return
-                    else:
-                        yield from self._drain_inline(
-                            config, tasks_by_digest, positions, stats, consume,
-                            retries, backoff,
-                        )
-                        return
+                    if stats["broker_restarts"] >= int(self.max_broker_restarts):
+                        break
+                    stats["broker_restarts"] += 1
+                    try:
+                        broker.start()
+                    except (OSError, RuntimeError, EOFError):
+                        break
+                    progressed = True
                 elif broker is None and unreachable_rounds >= 2:
-                    yield from self._drain_inline(
-                        config, tasks_by_digest, positions, stats, consume,
-                        retries, backoff,
-                    )
-                    return
+                    break
                 # fleet gone (drained early, dead, or respawn exhausted) with
                 # work left: the coordinator claims through the broker itself
                 # so leases/journal stay authoritative — a sweep must
@@ -1498,6 +1442,12 @@ class BrokerBackend:
                         pass  # broker liveness handling owns this next round
                 if not progressed:
                     time.sleep(config.poll_seconds)
+
+            if positions:
+                # graceful degradation: a coordinator that cannot reach its
+                # broker (or whose restart budget is spent) finishes the
+                # sweep itself instead of hanging
+                yield from self._drain_inline(config, unsettled(), positions, stats, consume)
         finally:
             if client is not None:
                 client.try_call(
@@ -1524,6 +1474,23 @@ class BrokerBackend:
             if broker is not None:
                 broker.stop()
 
+    def _connect(self, broker: _EmbeddedBroker | None) -> BrokerClient | None:
+        """Start (embedded) or locate (attached) the broker; None if unreachable."""
+        try:
+            address = broker.start() if broker is not None else parse_address(self.address)
+        except (OSError, RuntimeError, EOFError):
+            return None
+        client = BrokerClient(
+            address,
+            timeout=float(self.connect_timeout),
+            attempts=int(self.connect_attempts),
+            backoff=float(self.connect_backoff),
+        )
+        if client.try_call({"op": "ping"}) is None:
+            client.close()
+            return None
+        return client
+
     def _absorb(
         self,
         config: _BrokerWorkerConfig,
@@ -1542,12 +1509,7 @@ class BrokerBackend:
             )
             return consume(digest, "result", value)
         task = _decode(payload["task"]) if payload.get("task") else None
-        sentinel = QuarantinedTask(
-            task=task,
-            digest=digest,
-            attempts=int(payload.get("attempts", 0)),
-            errors=tuple(payload.get("errors", ())),
-        )
+        sentinel = QuarantinedTask.from_payload(digest, {**payload, "task": task})
         store.put(
             POISON_KIND,
             poison_key(config.label, config.worker_name, digest),
@@ -1563,68 +1525,36 @@ class BrokerBackend:
     def _drain_inline(
         self,
         config: _BrokerWorkerConfig,
-        tasks_by_digest: dict[str, SweepTask],
+        enqueue: dict[str, Any],
         positions: dict[str, list[int]],
         stats: dict[str, int],
         consume: Callable[[str, str, Any], list[tuple[int, Any]]],
-        retries: int,
-        backoff: float,
     ) -> Iterator[tuple[int, Any]]:
-        """No-broker fallback: finish the sweep serially, full retry semantics.
+        """No-broker fallback: finish the sweep on an in-process ledger.
 
         Used when the broker can never be reached (attached mode) or its
-        restart budget is spent (embedded mode).  Each remaining task is
-        executed in-process with the same :func:`fail_transition` requeue/
-        quarantine policy, honouring the backoff windows, so even total
-        broker loss degrades to a slower — never a different — sweep.
+        restart budget is spent (embedded mode).  ``enqueue`` (the unsettled
+        records) goes into a journal-less :class:`SweepLedger`, and one
+        :class:`_BrokerWorker` claims, executes and settles them through it —
+        the broker's own leases, :func:`fail_transition` requeues, backoff
+        windows and quarantine — so even total broker loss degrades to a
+        slower, never a different, sweep.
         """
-        store = config.store
-        for digest in sorted(positions, key=lambda d: positions[d][0]):
-            record: dict[str, Any] = {
-                "digest": digest,
-                "task": tasks_by_digest[digest],
-                "attempts": 0,
-                "errors": [],
-            }
-            while True:
-                found = recall_settled(store, config.label, config.worker_name, digest)
-                if found is not None:
-                    for item in consume(digest, *found):
-                        yield item
-                    break
-                try:
-                    result = config.fn(config.shared, record["task"])
-                except Exception as error:
-                    outcome, payload = fail_transition(
-                        record, f"{type(error).__name__}: {error}", retries, backoff
-                    )
-                    if outcome == "poison":
-                        store.put(
-                            POISON_KIND,
-                            poison_key(config.label, config.worker_name, digest),
-                            payload,
-                        )
-                        sentinel = QuarantinedTask(
-                            task=payload.get("task"),
-                            digest=digest,
-                            attempts=payload["attempts"],
-                            errors=tuple(payload["errors"]),
-                        )
-                        for item in consume(digest, "poison", sentinel):
-                            yield item
-                        break
-                    record = payload
-                    time.sleep(max(0.0, record["not_before"] - time.time()))
-                    continue
-                store.put(
-                    SHARD_RESULT_KIND,
-                    shard_result_key(config.label, config.worker_name, digest),
-                    {"result": result, "attempts": record["attempts"] + 1},
+        client = _LocalClient(SweepLedger())
+        client.call(enqueue)
+        worker = _BrokerWorker(replace(config, worker_index=-1, fault_plan=None), client)
+        try:
+            while positions:
+                if worker.step() == "idle":
+                    time.sleep(config.poll_seconds)  # every task in backoff
+                reply = client.call(
+                    {"op": "collect", "sweep": config.sweep_id, "digests": sorted(positions)}
                 )
-                stats["inline_drained"] += 1
-                for item in consume(digest, "result", result):
-                    yield item
-                break
+                for digest, payload in reply["settled"].items():
+                    yield from self._absorb(config, digest, payload, consume)
+            stats["inline_drained"] += worker.completed
+        finally:
+            worker.close()
 
 
 # -------------------------------------------------------------------- CLI
@@ -1715,40 +1645,33 @@ def main(argv: list[str] | None = None) -> int:
                 pass
         return 0
 
-    context = multiprocessing.get_context(
-        "fork" if sys.platform == "linux" else "spawn"
+    broker = _EmbeddedBroker(
+        journal_dir,
+        plan,
+        multiprocessing.get_context("fork" if sys.platform == "linux" else "spawn"),
     )
+    broker.host, broker.port = args.host, int(args.port)
     restarts = 0
-    host, port = args.host, int(args.port)
     while True:
-        parent, child = context.Pipe()
-        process = context.Process(
-            target=_broker_server_main,
-            args=(_ServeConfig(host, port, str(journal_dir), plan), child),
-        )
-        process.start()
-        child.close()
         try:
-            if parent.poll(15.0):
-                _tag, host, port = parent.recv()
-                print(
-                    f"broker listening on {host}:{port} (journal: {journal_dir})",
-                    flush=True,
-                )
-        finally:
-            parent.close()
-        process.join()
-        if process.exitcode == 0:
+            host, port = broker.start()
+        except (OSError, RuntimeError, EOFError):
+            pass  # died (or hung) before binding: judged by its exit code below
+        else:
+            print(f"broker listening on {host}:{port} (journal: {journal_dir})", flush=True)
+        broker.process.join()
+        exitcode = broker.process.exitcode
+        if exitcode == 0:
             return 0
         if restarts >= int(args.max_restarts):
             print(
-                f"broker died (exit {process.exitcode}) with the restart budget spent",
+                f"broker died (exit {exitcode}) with the restart budget spent",
                 file=sys.stderr,
             )
             return 1
         restarts += 1
         print(
-            f"broker died (exit {process.exitcode}); restarting on {host}:{port} "
+            f"broker died (exit {exitcode}); restarting on {broker.host}:{broker.port} "
             f"({restarts}/{args.max_restarts})",
             flush=True,
         )

@@ -388,6 +388,16 @@ class QuarantinedTask:
 
     is_quarantined = True
 
+    @classmethod
+    def from_payload(cls, digest: str, payload: dict[str, Any]) -> QuarantinedTask:
+        """The sentinel for a poison payload ``{task, attempts, errors}``."""
+        return cls(
+            task=payload.get("task"),
+            digest=digest,
+            attempts=int(payload.get("attempts", 0)),
+            errors=tuple(payload.get("errors", ())),
+        )
+
     def describe(self) -> str:
         what = self.task.describe() if self.task is not None else self.digest[:12]
         last = f": {self.errors[-1]}" if self.errors else ""
@@ -1019,12 +1029,7 @@ class SweepRunner:
         for digest in unpublished:
             payload = store.get(POISON_KIND, poison_key(label, worker_name, digest))
             if payload is not None:
-                poisoned[digest] = QuarantinedTask(
-                    task=payload.get("task"),
-                    digest=digest,
-                    attempts=int(payload.get("attempts", 0)),
-                    errors=tuple(payload.get("errors", ())),
-                )
+                poisoned[digest] = QuarantinedTask.from_payload(digest, payload)
         results: list[Any] = []
         missing: list[SweepTask] = []
         for task, digest in zip(tasks, digests):

@@ -1,23 +1,36 @@
 """Chaos tests for the socket broker: leases, wire protocol, journal, backend.
 
-Four layers, tested bottom-up: the *lease* expiry rule and the fault-plan
+Five layers, tested bottom-up: the *lease* expiry rule and the fault-plan
 harness; the broker *protocol* (idempotent claims, stale fails, duplicate
 completions) against a live in-process server; the *journal* (a SIGKILLed
 broker restarts with zero lost claims and zero lost results, tolerating a
-torn final line); and the *backend* (real worker processes, partitions,
-dropped connections, and a broker killed mid-sweep — the merged map must
-stay bit-identical to :class:`SerialBackend`, a resume must recompute
-nothing, and a poisonous task is quarantined after exactly ``retries + 1``
-attempts instead of deadlocking the sweep).
+torn final line); the socket-free *ledger* (after any op sequence, a
+replay of its journal equals its live state); and the *backend* (real
+worker processes, partitions, dropped connections, and a broker killed
+mid-sweep — the merged map must stay bit-identical to
+:class:`SerialBackend`, a resume must recompute nothing, and a poisonous
+task is quarantined after exactly ``retries + 1`` attempts instead of
+deadlocking the sweep).  Last, ``serve --supervise`` runs as a real
+subprocess and must restart a killed broker on the same port.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import queue
+import re
+import subprocess
+import sys
+import tempfile
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.broker import (
     BrokerBackend,
@@ -26,6 +39,7 @@ from repro.experiments.broker import (
     BrokerServer,
     BrokerUnreachable,
     DEFAULT_QUEUE_RETRIES,
+    SweepLedger,
     parse_address,
     _encode,
 )
@@ -217,23 +231,23 @@ class TestLeases:
 
     def test_renew_pushes_heartbeat_deadline(self, live_broker):
         server, client, digest = self._claim_one(live_broker, 0.1)
-        before = server._sweeps[SWEEP].leases[digest]["heartbeat_deadline"]
+        before = server.ledger._sweeps[SWEEP].leases[digest]["heartbeat_deadline"]
         assert self._renew(client, digest, "w0", 60.0) is True
-        after = server._sweeps[SWEEP].leases[digest]["heartbeat_deadline"]
+        after = server.ledger._sweeps[SWEEP].leases[digest]["heartbeat_deadline"]
         assert after > before
 
     def test_renew_requires_ownership(self, live_broker):
         server, client, digest = self._claim_one(live_broker, 5.0)
-        before = dict(server._sweeps[SWEEP].leases[digest])
+        before = dict(server.ledger._sweeps[SWEEP].leases[digest])
         assert self._renew(client, digest, "impostor", 3600.0) is False
-        assert server._sweeps[SWEEP].leases[digest] == before
-        assert server._sweeps[SWEEP].leases[digest]["owner"] == "w0"
+        assert server.ledger._sweeps[SWEEP].leases[digest] == before
+        assert server.ledger._sweeps[SWEEP].leases[digest]["owner"] == "w0"
 
     def test_hard_deadline_survives_renewal(self, live_broker):
         """--task-timeout is absolute: heartbeats cannot extend it."""
         server, client, digest = self._claim_one(live_broker, 5.0, hard_timeout=0.5)
         assert self._renew(client, digest, "w0", 3600.0) is True
-        lease = server._sweeps[SWEEP].leases[digest]
+        lease = server.ledger._sweeps[SWEEP].leases[digest]
         assert lease["heartbeat_deadline"] > time.time() + 3000.0
         assert lease_expired(lease, now=lease["hard_deadline"] + 0.1) is True
 
@@ -448,6 +462,27 @@ class TestProtocol:
         with pytest.raises(BrokerError, match="invalid sweep id"):
             client.call({"op": "claim", "sweep": "../escape", "owner": "w0"})
 
+    def test_refused_enqueue_leaves_no_state(self, live_broker):
+        """Validation precedes every commit: a refusal leaves nothing behind."""
+        server, client = live_broker
+        sweeps = client.call({"op": "ping"})["sweeps"]
+        with pytest.raises(BrokerError, match="without digest"):
+            client.call(
+                {
+                    "op": "enqueue",
+                    "sweep": SWEEP,
+                    "records": [_records(1)[0], {"task": "no digest"}],
+                }
+            )
+        with pytest.raises(BrokerError, match="ValueError"):
+            client.call(
+                {"op": "enqueue", "sweep": SWEEP, "retries": "many", "records": _records(1)}
+            )
+        collected = client.call({"op": "collect", "sweep": SWEEP, "digests": []})
+        assert collected["pending"] == 0
+        assert not (server.ledger.journal_dir / f"{SWEEP}.journal").exists()
+        assert client.call({"op": "ping"})["sweeps"] == sweeps
+
     def test_unreachable_raises_after_budget(self, tmp_path):
         client = BrokerClient(("127.0.0.1", 1), timeout=0.2, attempts=2, backoff=0.01)
         with pytest.raises(BrokerUnreachable, match="2 attempt"):
@@ -557,6 +592,101 @@ class TestJournalReplay:
             assert revived.handle_message({"op": "ping"}) == {"ok": True, "sweeps": 0}
         finally:
             revived.server_close()
+
+
+class TestSweepLedger:
+    """The socket-free state machine: live state always equals its replay."""
+
+    OPS = ("enqueue", "claim", "renew", "complete", "fail", "collect", "shutdown")
+
+    @staticmethod
+    def _state(ledger):
+        # heartbeat deadlines are left out: replay re-arms them on purpose
+        return {
+            sweep_id: {
+                "tasks": state.tasks,
+                "settled": state.settled,
+                "retries": state.retries,
+                "backoff": state.backoff,
+                "shutdown": state.shutdown,
+                "leases": {
+                    digest: (lease["owner"], lease["hard_deadline"])
+                    for digest, lease in state.leases.items()
+                },
+            }
+            for sweep_id, state in ledger._sweeps.items()
+        }
+
+    @staticmethod
+    def _message(ledger, op, index, owner, lease_seconds, hard_timeout):
+        digest = f"digest-{index:02d}"
+        if op == "enqueue":
+            return {
+                "op": op,
+                "sweep": SWEEP,
+                "retries": index % 2,
+                "backoff": 0.0,
+                "records": _records(index + 1),
+            }
+        state = ledger._sweeps.get(SWEEP)
+        record = state.tasks.get(digest, {}) if state is not None else {}
+        return {
+            "op": op,
+            "sweep": SWEEP,
+            "owner": owner,
+            "digest": digest,
+            "digests": [f"digest-{i:02d}" for i in range(4)],
+            "lease_seconds": lease_seconds,
+            "hard_timeout": hard_timeout,
+            "attempts": record.get("attempts", 0) + (op == "complete"),
+            "error": f"{owner} failed",
+            "result": _encode(index),
+        }
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(OPS),
+                st.integers(0, 3),
+                st.sampled_from(("w0", "w1")),
+                st.sampled_from((0, 30)),
+                st.sampled_from((None, 0, 30)),
+            ),
+            max_size=25,
+        )
+    )
+    def test_replay_matches_live_state(self, ops):
+        with tempfile.TemporaryDirectory() as journal_dir:
+            live = SweepLedger(journal_dir)
+            try:
+                for op in ops:
+                    reply = live.handle(self._message(live, *op))
+                    assert reply["ok"], reply
+                    replayed = SweepLedger(journal_dir)
+                    assert self._state(replayed) == self._state(live), op
+            finally:
+                live.close()
+
+    def test_no_journal_dir_writes_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        ledger = SweepLedger()
+        assert ledger.journal_dir is None
+        reply = ledger.handle(
+            {"op": "enqueue", "sweep": SWEEP, "records": _records(2)}
+        )
+        assert reply["enqueued"] == 2
+        claim = ledger.handle(
+            {"op": "claim", "sweep": SWEEP, "owner": "w0", "lease_seconds": 5.0}
+        )
+        digest = claim["record"]["digest"]
+        ledger.handle(
+            {"op": "complete", "sweep": SWEEP, "digest": digest, "result": _encode(1)}
+        )
+        ledger.handle({"op": "shutdown", "sweep": SWEEP})
+        ledger.handle({"op": "retire", "sweep": SWEEP})
+        ledger.close()
+        assert list(tmp_path.iterdir()) == []
 
 
 # -------------------------------------------------------------------- backend
@@ -834,6 +964,26 @@ class TestBrokerBackend:
         assert results == serial
         assert backend.last_stats["inline_drained"] == 4
 
+    def test_broker_lost_past_restart_budget_drains_inline(self, store):
+        """An embedded broker killed with no restart budget left: the sweep
+        finishes on the coordinator's in-process ledger instead."""
+        plan = FaultPlan(rules=(KillBroker(after_completions=2),))
+        backend = _broker_backend(
+            store,
+            fault_plan=plan,
+            max_broker_restarts=0,
+            backoff=0.02,
+            connect_timeout=0.5,
+            connect_attempts=2,
+        )
+        tasks = _grid(8)
+        shared = {"offset": 6}
+        results = _runner(backend, store).map(_draw_worker, tasks, shared=shared)
+        serial = SweepRunner(workers=1).map(_draw_worker, tasks, shared=shared)
+        assert results == serial
+        assert backend.last_stats["broker_restarts"] == 0
+        assert backend.last_stats["inline_drained"] >= 1
+
     def test_inline_drain_keeps_retry_semantics(self, store):
         tasks = _grid(4)
         shared = {"offset": 0, "bad": tasks[1].voltage}
@@ -1057,3 +1207,86 @@ class TestWireFaultPlanValidation:
         plan.to_env(env)
         monkeypatch.setenv(ENV_FAULT_PLAN, env[ENV_FAULT_PLAN])
         assert FaultPlan.from_env() == plan
+
+
+class TestServeCli:
+    """``serve --supervise`` restarts a killed broker on its pinned port."""
+
+    @staticmethod
+    def _lines(process):
+        lines: queue.Queue = queue.Queue()
+
+        def pump():
+            for line in process.stdout:
+                lines.put(line)
+
+        threading.Thread(target=pump, daemon=True).start()
+
+        def wait_for(pattern, timeout=30.0):
+            deadline = time.time() + timeout
+            while time.time() < deadline:
+                try:
+                    line = lines.get(timeout=max(0.01, deadline - time.time()))
+                except queue.Empty:
+                    break
+                match = re.search(pattern, line)
+                if match:
+                    return match
+            raise AssertionError(f"no line matching {pattern!r} within {timeout}s")
+
+        return wait_for
+
+    def test_supervise_restarts_killed_broker(self, tmp_path):
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+            ENV_FAULT_PLAN: json.dumps([{"kind": "kill-broker", "after_completions": 1}]),
+        }
+        process = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.experiments.broker", "serve",
+                "--supervise", "--port", "0", "--max-restarts", "1",
+                "--journal-dir", str(tmp_path / "journal"),
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            env=env,
+        )
+        client = None
+        try:
+            wait_for = self._lines(process)
+            port = int(wait_for(r"broker listening on 127\.0\.0\.1:(\d+)").group(1))
+            client = BrokerClient(("127.0.0.1", port), timeout=5.0, attempts=40, backoff=0.05)
+            _enqueue(client, 2)
+            claim = client.call(
+                {"op": "claim", "sweep": SWEEP, "owner": "w0", "lease_seconds": 30.0}
+            )
+            # the first completion SIGKILLs the broker before it replies; the
+            # re-sent ack reaches the restarted broker, which replayed it
+            done = client.call(
+                {
+                    "op": "complete",
+                    "sweep": SWEEP,
+                    "owner": "w0",
+                    "digest": claim["record"]["digest"],
+                    "attempts": 1,
+                    "result": _encode("value"),
+                }
+            )
+            assert done["duplicate"] is True
+            wait_for(rf"broker died \(exit -9\); restarting on 127\.0\.0\.1:{port} \(1/1\)")
+            wait_for(rf"broker listening on 127\.0\.0\.1:{port}")
+            assert client.call({"op": "ping"}) == {"ok": True, "sweeps": 1}
+            assert client.call({"op": "stop"})["stopping"] is True
+            assert process.wait(timeout=30.0) == 0
+        finally:
+            if client is not None:
+                client.close()
+            if process.poll() is None:
+                process.kill()
+                process.wait(timeout=10.0)
+            process.stdout.close()
