@@ -1,4 +1,4 @@
-"""Batched adaptive-deployment benchmark (BENCH_adaptive.json).
+"""Batched adaptive-deployment benchmark.
 
 Times fig10's adaptive column for one benchmark both ways:
 
@@ -12,7 +12,7 @@ Times fig10's adaptive column for one benchmark both ways:
 
 Both arms run against their own fresh artifact cache (no cross-arm recall)
 and measure each point's on-chip error on the same held-out test split.
-The session asserts, and the CI ``adaptive-smoke`` job enforces:
+The session asserts, and the CI ``adaptive`` smoke job enforces:
 
 - end-to-end speedup >= the 3x floor,
 - every warm-started adaptive error within ``ERROR_TOLERANCE`` of its cold
@@ -25,6 +25,8 @@ The session asserts, and the CI ``adaptive-smoke`` job enforces:
 Run from the repository root::
 
     PYTHONPATH=src python benchmarks/bench_adaptive.py
+
+Prints the session as JSON and exits non-zero on any violated assertion.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from _bench_records import append_record  # noqa: E402
 from repro.experiments.cache import ArtifactCache  # noqa: E402
 from repro.experiments.common import (  # noqa: E402
     default_flow,
@@ -52,8 +53,6 @@ from repro.experiments.fig10_error_vs_voltage import (  # noqa: E402
     NOMINAL_THRESHOLD,
 )
 from repro.sram import SramProfiler  # noqa: E402
-
-RECORD_PATH = Path(__file__).resolve().parent.parent / "BENCH_adaptive.json"
 
 BENCHMARK = "inversek2j"
 #: fig10's overscaled operating points — the adaptive column's whole axis
@@ -205,19 +204,6 @@ def main() -> int:
         "speedup_floor": SPEEDUP_FLOOR,
         "error_tolerance": ERROR_TOLERANCE,
     }
-    append_record(
-        RECORD_PATH,
-        session,
-        suite="adaptive-sweep",
-        headline={
-            "latest_speedup": column["speedup"],
-            "speedup_floor": SPEEDUP_FLOOR,
-            "latest_max_error_delta": column["max_error_delta"],
-            "error_tolerance": ERROR_TOLERANCE,
-            "latest_cold_identity": column["cold_identity_bit_identical"],
-            "latest_sweep_maps_bit_identical": oracle["sweep_maps_bit_identical"],
-        },
-    )
     print(json.dumps(session, indent=2))
 
     failures = []

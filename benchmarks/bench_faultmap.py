@@ -1,4 +1,4 @@
-"""Fault-map pipeline microbenchmark (BENCH_faultmap.json).
+"""Fault-map pipeline microbenchmark.
 
 Measures the two wins of the array-native fault-map pipeline on a
 4096-word x 16-bit bank at a high-fault operating point:
@@ -15,9 +15,8 @@ Run from the repository root::
 
     PYTHONPATH=src python benchmarks/bench_faultmap.py
 
-Appends a session record to ``BENCH_faultmap.json`` at the repository root
-and exits non-zero if the vectorized speedup falls below the 10x floor or
-the memoized maps are not bit-identical.
+Prints the session as JSON and exits non-zero if the vectorized speedup
+falls below the 10x floor or the memoized maps are not bit-identical.
 """
 
 from __future__ import annotations
@@ -33,13 +32,10 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from _bench_records import append_record  # noqa: E402
 from repro.accelerator.soc import Snnac, SnnacConfig  # noqa: E402
 from repro.experiments.cache import ArtifactCache  # noqa: E402
 from repro.matic.flow import MaticFlow  # noqa: E402
 from repro.sram import BitFault, SramBank, SramProfiler  # noqa: E402
-
-RECORD_PATH = Path(__file__).resolve().parent.parent / "BENCH_faultmap.json"
 
 NUM_WORDS = 4096
 WORD_BITS = 16
@@ -203,16 +199,6 @@ def main() -> int:
         "profile_bank": bank_result,
         "profile_chip": chip_result,
     }
-    append_record(
-        RECORD_PATH,
-        session,
-        suite="faultmap-microbenchmark",
-        headline={
-            "latest_speedup": session["profile_bank"]["speedup"],
-            "speedup_floor": SPEEDUP_FLOOR,
-        },
-    )
-
     print(json.dumps(session, indent=2))
     failures = []
     if bank_result["speedup"] < SPEEDUP_FLOOR:

@@ -1,6 +1,6 @@
-"""Inference read-path microbenchmark (BENCH_inference.json).
+"""Inference read-path microbenchmark.
 
-First bench record for the inference engine itself: measures the
+Microbenchmark for the inference engine itself: measures the
 operating-point-resident SRAM read path + compiled gather plans + decode
 memoization against a faithful reconstruction of the pre-PR path —
 bit-matrix SRAM storage with a per-read unpack → V_min compare → repack
@@ -25,6 +25,8 @@ if the warm sweep speedup falls below the 5x floor.
 Run from the repository root::
 
     PYTHONPATH=src python benchmarks/bench_inference.py
+
+Prints the session as JSON.
 """
 
 from __future__ import annotations
@@ -39,15 +41,12 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from _bench_records import append_record  # noqa: E402
 from repro.accelerator.npu import Npu  # noqa: E402
 from repro.accelerator.systolic import evaluate_layer_words  # noqa: E402
 from repro.nn import Network  # noqa: E402
 from repro.quant import WeightQuantizer  # noqa: E402
 from repro.sram.array import SramBank, WeightMemorySystem  # noqa: E402
 from repro.sram.bitops import pack_bits, unpack_words  # noqa: E402
-
-RECORD_PATH = Path(__file__).resolve().parent.parent / "BENCH_inference.json"
 
 TOPOLOGY = "100-32-10"
 NUM_PES = 8
@@ -336,15 +335,6 @@ def main() -> int:
         },
         "bit_identical": True,  # asserted above, per grid point
     }
-    append_record(
-        RECORD_PATH,
-        session,
-        suite="inference-microbenchmark",
-        headline={
-            "latest_sweep_speedup": session["sweep"]["warm_speedup"],
-            "speedup_floor": SPEEDUP_FLOOR,
-        },
-    )
     print(json.dumps(session, indent=2))
     if sweep_speedup < SPEEDUP_FLOOR:
         print(

@@ -7,28 +7,13 @@ runs) are memoized by the content-addressed artifact cache
 (:mod:`repro.experiments.cache`), so a warm-cache pass recalls every
 training instead of repeating it; the sweep grids themselves execute
 through the :mod:`repro.experiments.engine` worker pool.
-
-Every session appends its wall-clock and cache statistics to
-``BENCH_sweep.json`` at the repository root, so the suite's performance
-trajectory is tracked from PR to PR.
 """
 
 from __future__ import annotations
 
-import os
-import time
-from datetime import datetime, timezone
-from pathlib import Path
-
 import pytest
 
-from _bench_records import append_record
-from repro.experiments import default_cache, prepare_benchmark
-
-#: Where the suite wall-clock record lands (repository root).
-BENCH_RECORD_PATH = Path(__file__).resolve().parent.parent / "BENCH_sweep.json"
-#: Keep the most recent N session records.
-BENCH_RECORD_LIMIT = 50
+from repro.experiments import prepare_benchmark
 
 
 @pytest.fixture(scope="session")
@@ -42,54 +27,6 @@ def prepared_benchmarks():
         name: prepare_benchmark(name, seed=1)
         for name in ("mnist", "facedet", "inversek2j", "bscholes")
     }
-
-
-@pytest.fixture(scope="session", autouse=True)
-def bench_sweep_record():
-    """Record suite wall-clock and cache statistics in BENCH_sweep.json."""
-    cache = default_cache()
-    start_stats = cache.stats.as_dict()
-    start = time.perf_counter()
-    yield
-    elapsed = time.perf_counter() - start
-    end_stats = cache.stats.as_dict()
-    session = {
-        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "wall_clock_seconds": round(elapsed, 3),
-        "cache_enabled": cache.enabled,
-        "cache_root": str(cache.root),
-        # parent-process counters only: sweep-pool workers keep their own
-        # stats, so on multi-core hosts this under-counts worker-side hits
-        "cache_stats_scope": "parent-process",
-        "cache": {key: end_stats[key] - start_stats[key] for key in end_stats},
-        "workers_env": os.environ.get("REPRO_SWEEP_WORKERS", ""),
-        "cpu_count": os.cpu_count(),
-    }
-    append_record(
-        BENCH_RECORD_PATH,
-        session,
-        suite="benchmarks",
-        limit=BENCH_RECORD_LIMIT,
-        headline={"latest_wall_clock_seconds": session["wall_clock_seconds"]},
-        lock_path=_lock_path(),
-    )
-
-
-def _lock_path() -> Path | None:
-    """Advisory-lock location: a gitignored scratch dir in this checkout.
-
-    The lock must be keyed to the resource it protects — the repo-root
-    ``BENCH_sweep.json`` — so it lives next to it, in the checkout's
-    ``.repro-cache/scratch/`` (gitignored), NOT under the configurable
-    ``$REPRO_CACHE_DIR`` root: two sessions with different cache roots
-    still race on the same record file and must take the same lock.
-    """
-    try:
-        scratch = BENCH_RECORD_PATH.parent / ".repro-cache" / "scratch"
-        scratch.mkdir(parents=True, exist_ok=True)
-        return scratch / "BENCH_sweep.lock"
-    except OSError:
-        return None
 
 
 def report(capsys, text: str) -> None:

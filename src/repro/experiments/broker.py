@@ -6,10 +6,10 @@ added and removed mid-flight: lease-based claims, heartbeat renewal,
 expired-lease stealing, exponential backoff with deterministic jitter, and
 poison quarantine, coordinated by a tiny dependency-free TCP broker so any
 host that can open a socket can join a fleet.  Every failed attempt goes
-through one :func:`fail_transition` and every lease is judged by
-:func:`~repro.experiments.cache.lease_expired`.  Completed results publish
-through the artifact cache (kind ``sweep-shard``) and quarantined tasks
-through the poison store (kind ``sweep-poison``); :func:`recall_settled`
+through one :func:`fail_transition`, and every lease is a
+:func:`new_lease` dict judged by :func:`lease_expired`.  Completed results
+publish through the artifact cache (kind ``sweep-shard``) and quarantined
+tasks through the poison store (kind ``sweep-poison``); :func:`recall_settled`
 reads both, which is why a restarted coordinator resumes with zero
 recomputation.
 
@@ -109,7 +109,7 @@ import socketserver
 import sys
 import threading
 import time
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
@@ -120,8 +120,6 @@ from .cache import (
     SHARD_RESULT_KIND,
     cache_digest,
     default_cache,
-    lease_expired,
-    new_lease,
     poison_key,
     shard_result_key,
 )
@@ -145,6 +143,8 @@ __all__ = [
     "DEFAULT_PORT",
     "DEFAULT_QUEUE_RETRIES",
     "fail_transition",
+    "lease_expired",
+    "new_lease",
     "parse_address",
     "main",
     "recall_settled",
@@ -170,6 +170,53 @@ def _encode(value: Any) -> str:
 
 def _decode(text: str) -> Any:
     return pickle.loads(base64.b64decode(text.encode("ascii")))
+
+
+# ------------------------------------------------------------------ leases
+#
+# A lease means "this worker is executing the task".  The ledger keeps one
+# per claimed task in memory and journals it; ``lease_expired`` decides when
+# a peer may steal it.
+
+
+def new_lease(
+    owner: str,
+    lease_seconds: float,
+    hard_deadline: float | None = None,
+    now: float | None = None,
+) -> dict[str, Any]:
+    """A fresh lease payload: the one lease shape every holder agrees on.
+
+    ``heartbeat_deadline`` starts at now + ``lease_seconds`` and is pushed
+    forward by renewals; ``hard_deadline`` (the ``--task-timeout`` bound) is
+    absolute and never renewed.  The broker keeps it in memory and journals
+    it; :func:`lease_expired` judges it.
+    """
+    now = time.time() if now is None else now
+    return {
+        "owner": str(owner),
+        "acquired": now,
+        "heartbeat_deadline": now + float(lease_seconds),
+        "hard_deadline": float(hard_deadline) if hard_deadline is not None else None,
+    }
+
+
+def lease_expired(
+    lease: Mapping[str, Any] | None, now: float | None = None
+) -> bool:
+    """Whether a lease may be stolen: past either deadline, or unreadable."""
+    if lease is None:
+        return True
+    now = time.time() if now is None else now
+    heartbeat = lease.get("heartbeat_deadline")
+    hard = lease.get("hard_deadline")
+    if isinstance(heartbeat, (int, float)) and now > heartbeat:
+        return True
+    if isinstance(hard, (int, float)) and now > hard:
+        return True
+    # a lease carrying neither deadline is malformed; holding it forever
+    # would deadlock the sweep, so it counts as expired too
+    return not isinstance(heartbeat, (int, float)) and not isinstance(hard, (int, float))
 
 
 def fail_transition(

@@ -61,8 +61,8 @@ publishes completed task results under the ``sweep-shard`` kind and
 quarantined (poison) tasks under the ``sweep-poison`` kind
 (:data:`POISON_KIND`/:func:`poison_key`) — ordinary content-addressed
 artifacts, so resume, dedup, ``stats``, and ``prune`` all treat them like
-any other artifact.  Its leases are :func:`new_lease` dicts judged by
-:func:`lease_expired`.
+any other artifact.  Task leases are broker state, not artifacts, and live
+in :mod:`repro.experiments.broker`.
 """
 
 from __future__ import annotations
@@ -90,8 +90,6 @@ __all__ = [
     "cache_digest",
     "collect_shard_results",
     "default_cache",
-    "lease_expired",
-    "new_lease",
     "poison_key",
     "set_default_cache",
     "shard_result_key",
@@ -620,53 +618,6 @@ def collect_shard_results(
         else:
             found[digest] = payload
     return found, missing
-
-
-# ------------------------------------------------------------------ leases
-#
-# A lease means "this worker is executing the task".  The broker keeps one
-# per claimed task in memory and journals it; ``lease_expired`` decides when
-# a peer may steal it.
-
-
-def new_lease(
-    owner: str,
-    lease_seconds: float,
-    hard_deadline: float | None = None,
-    now: float | None = None,
-) -> dict[str, Any]:
-    """A fresh lease payload: the one lease shape every holder agrees on.
-
-    ``heartbeat_deadline`` starts at now + ``lease_seconds`` and is pushed
-    forward by renewals; ``hard_deadline`` (the ``--task-timeout`` bound) is
-    absolute and never renewed.  The broker keeps it in memory and journals
-    it; :func:`lease_expired` judges it.
-    """
-    now = time.time() if now is None else now
-    return {
-        "owner": str(owner),
-        "acquired": now,
-        "heartbeat_deadline": now + float(lease_seconds),
-        "hard_deadline": float(hard_deadline) if hard_deadline is not None else None,
-    }
-
-
-def lease_expired(
-    lease: Mapping[str, Any] | None, now: float | None = None
-) -> bool:
-    """Whether a lease may be stolen: past either deadline, or unreadable."""
-    if lease is None:
-        return True
-    now = time.time() if now is None else now
-    heartbeat = lease.get("heartbeat_deadline")
-    hard = lease.get("hard_deadline")
-    if isinstance(heartbeat, (int, float)) and now > heartbeat:
-        return True
-    if isinstance(hard, (int, float)) and now > hard:
-        return True
-    # a lease carrying neither deadline is malformed; holding it forever
-    # would deadlock the sweep, so it counts as expired too
-    return not isinstance(heartbeat, (int, float)) and not isinstance(hard, (int, float))
 
 
 #: Last invalid $REPRO_CACHE_BUDGET value warned about (warn once per value).

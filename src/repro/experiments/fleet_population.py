@@ -25,9 +25,9 @@ requests at one operating point decodes each corrupted image once.
 
 A die is one engine task, so the fleet shards by die index: all backends,
 ``--shard i/n``, ``--stream``; the sharded merge is bit-identical to an
-unsharded run (``benchmarks/bench_population.py`` proves it, along with
-warm-cache re-runs recomputing zero per-die profiles).  See
-``docs/population.md``.
+unsharded run, and a warm-cache re-run recomputes zero per-die profiles
+(``tests/test_population.py::TestFleetPopulationDriver`` proves both).
+See ``docs/population.md``.
 """
 
 from __future__ import annotations

@@ -25,8 +25,9 @@ capacity wall itself.
 
 Like every driver, the grid expands into independent seeded tasks and runs
 through the sweep engine — all backends, ``--shard i/n``, ``--stream``; the
-sharded merge is bit-identical to an unsharded run (``benchmarks/
-bench_scaling.py`` proves it).
+sharded merge is bit-identical to an unsharded run (``tests/
+test_scaling_geometry.py::TestScalingGeometry::
+test_two_way_shard_merge_is_bit_identical`` proves it).
 """
 
 from __future__ import annotations

@@ -21,7 +21,8 @@ marginal transform, correlation strengths redistribute variance without
 changing any cell's marginal law — so Vmin/yield *shifts* between i.i.d. and
 correlated rows are a pure clustering effect, measured at equal marginal
 variance.  With ``shape=iid`` the sampled populations are bit-identical to
-the legacy models (``benchmarks/bench_variation.py`` proves it).
+the legacy models (``tests/test_variation_scenarios.py::TestScenario::
+test_iid_scenario_chip_is_bit_identical_to_legacy`` proves it).
 
 Like every driver, the grid expands into independent seeded tasks and runs
 through the sweep engine — all backends, ``--shard i/n``, ``--stream``; the

@@ -24,7 +24,8 @@ existing memoization layers rather than adding its own:
 Sharding composes for free: a die is one unit of work, so a driver that
 expands ``{"die": i}`` tasks through the sweep engine gets ``--shard i/n``
 fleet splits whose merge is bit-identical to an unsharded run
-(``benchmarks/bench_population.py`` proves it).
+(``tests/test_population.py::TestFleetPopulationDriver::
+test_two_shard_merge_is_bit_identical`` proves it).
 
 The module is deliberately below the ``repro.experiments`` layer: it knows
 chips, flows, and canaries, but nothing about argument parsing, caches-by-

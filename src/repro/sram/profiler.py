@@ -190,8 +190,8 @@ class SramProfiler:
         no writes, no reads, no restore round trips.
 
         The derivation is asserted bit-identical to per-voltage
-        :meth:`profile_bank` by the equivalence oracle in
-        ``tests/test_adaptive_sweep.py`` and ``benchmarks/bench_adaptive.py``.
+        :meth:`profile_bank` by the equivalence oracle
+        ``tests/test_adaptive_sweep.py::TestProfilerSweepEquivalence``.
         It is only valid for *this class's* measurement procedure under
         ``restore_contents=True``: a subclass that overrides
         :meth:`profile_bank` (different procedure) or a profiler configured

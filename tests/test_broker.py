@@ -40,10 +40,12 @@ from repro.experiments.broker import (
     BrokerUnreachable,
     DEFAULT_QUEUE_RETRIES,
     SweepLedger,
+    lease_expired,
+    new_lease,
     parse_address,
     _encode,
 )
-from repro.experiments.cache import ArtifactCache, lease_expired, new_lease
+from repro.experiments.cache import ArtifactCache
 from repro.experiments.engine import (
     QuarantinedTask,
     SweepRunner,
@@ -855,25 +857,73 @@ class TestBrokerBackend:
         assert sorted(counts) == sorted(str(t.voltage) for t in tasks)
         assert set(counts.values()) == {1}  # replay made the restart lossless
 
-    def test_kill_workers_mid_sweep_bit_identical(self, store):
-        plan = FaultPlan(
-            rules=(
-                KillWorker(worker=0, after_tasks=1, phase="claim"),
-                KillWorker(worker=1, after_tasks=1, phase="publish"),
-            )
-        )
+    @staticmethod
+    def _chaos_sweep(store, rules, lease_seconds, backoff, num_tasks):
+        """Run ``num_tasks`` draws on four workers under ``rules``; return the
+        backend, the chaos merge and the serial reference."""
         backend = _broker_backend(
-            store, lease_seconds=0.4, respawn=False, backoff=0.02, fault_plan=plan
+            store,
+            lease_seconds=lease_seconds,
+            respawn=False,
+            backoff=backoff,
+            fault_plan=FaultPlan(rules=rules),
         )
-        tasks = _grid(10)
+        tasks = _grid(num_tasks)
         shared = {"offset": 7}
         chaos = _runner(backend, store, workers=4).map(
             _draw_worker, tasks, shared=shared
         )
         serial = SweepRunner(workers=1).map(_draw_worker, tasks, shared=shared)
+        return backend, chaos, serial
+
+    def test_kill_workers_mid_sweep_bit_identical(self, store):
+        backend, chaos, serial = self._chaos_sweep(
+            store,
+            rules=(
+                KillWorker(worker=0, after_tasks=1, phase="claim"),
+                KillWorker(worker=1, after_tasks=1, phase="publish"),
+            ),
+            lease_seconds=0.4,
+            backoff=0.02,
+            num_tasks=10,
+        )
         assert chaos == serial
         assert backend.last_stats["worker_deaths"] == 2
         assert backend.last_stats["quarantined"] == 0
+
+    def test_every_chaos_rule_in_one_sweep_bit_identical(self, store):
+        """Every chaos rule in one sweep: two workers SIGKILLed (one holding a
+        fresh lease, one right after a publish), a third partitioned from the
+        broker, a fourth losing its ``complete`` acks, and the broker itself
+        SIGKILLed after journaling its third completion.  The merge must
+        still equal the serial reference, and a brand-new coordinator over
+        the same store must recall every task and recompute none.
+        """
+        backend, chaos, serial = self._chaos_sweep(
+            store,
+            rules=(
+                KillWorker(worker=0, after_tasks=1, phase="claim"),
+                KillWorker(worker=1, after_tasks=1, phase="publish"),
+                PartitionWorker(worker=2, after_tasks=1, seconds=0.8),
+                DropConnection(worker=3, every=2, op="complete", limit=2),
+                KillBroker(after_completions=3),
+            ),
+            lease_seconds=0.5,
+            backoff=0.05,
+            num_tasks=12,
+        )
+        assert chaos == serial
+        assert backend.last_stats["worker_deaths"] == 2
+        assert backend.last_stats["broker_restarts"] == 1
+        assert backend.last_stats["quarantined"] == 0
+
+        resumed_backend = _broker_backend(store)
+        resumed = _runner(resumed_backend, store).map(
+            _draw_worker, _grid(12), shared={"offset": 7}
+        )
+        assert resumed == serial
+        assert resumed_backend.last_stats["recalled"] == 12
+        assert resumed_backend.last_stats["enqueued"] == 0
 
     def test_partition_forces_steal_and_absorbs_duplicate(self, store, tmp_path):
         """A partitioned worker's task is stolen; its late publish is absorbed.

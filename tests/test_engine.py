@@ -660,7 +660,10 @@ class TestQuarantineRendering:
         )
         out = capsys.readouterr().out
         assert code == 1, f"{module_name} must exit nonzero when degraded"
-        assert "QUARANTINED" in out
+        quarantined_rows = [
+            line for line in out.splitlines() if line.strip().startswith("QUARANTINED")
+        ]
+        assert len(quarantined_rows) == 1, "exactly the poisoned task is quarantined"
         assert match in out, "the quarantined row must describe the lost task"
         assert "quarantined task(s); exiting nonzero" in out
         # the table itself still rendered (headers plus separator rule)

@@ -3,8 +3,10 @@
 The acceptance bar: per-die ``SeedSequence.spawn`` children match numpy's
 spawn tree exactly (so any die can be re-materialized in isolation), the
 seeded request stream is deterministic and shard-independent, a fleet of
-one die is bit-identical to a direct :func:`simulate_die` call, and the
-driver's duplicate-voltage serving path aliases rather than recomputes.
+one die is bit-identical to a direct :func:`simulate_die` call, the
+driver's duplicate-voltage serving path aliases rather than recomputes, a
+two-shard fleet merges bit-identically, and a warm re-run recomputes no
+fault-map profile.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import pytest
 
 from repro.experiments.cache import ArtifactCache
 from repro.experiments.common import default_flow, prepare_benchmark
-from repro.experiments.engine import SweepRunner
+from repro.experiments.engine import ShardIncompleteError, ShardSpec, SweepRunner
 from repro.experiments.fleet_population import (
     DEFAULT_OPERATING_VOLTAGES,
     run_fleet_population,
@@ -30,6 +32,17 @@ from repro.sram.variation import CorrelationSpec, VariationScenario
 GEOMETRY = dict(num_pes=4, words_per_bank=128)
 NUM_SAMPLES = 240
 SEED = 3
+#: A small fleet for the shard and warm-rerun checks.
+_FLEET = dict(
+    benchmark="inversek2j",
+    dies=4,
+    num_requests=12,
+    voltages=(0.90, 0.50),
+    num_samples=NUM_SAMPLES,
+    seed=SEED,
+    chip_seed=11,
+    **GEOMETRY,
+)
 
 
 @pytest.fixture(scope="module")
@@ -212,7 +225,12 @@ class TestFleetPopulationDriver:
         )
         population = ChipPopulation(num_dies=1, entropy=11, **GEOMETRY)
         requests = population.request_stream(6, (0.90, 0.50), seed=SEED)
+        flow.profile_counters.reset()
         direct = _simulate(population, 0, flow, prepared, requests)
+        # the fleet run already profiled this die into the shared cache, so the
+        # direct call recalls it in one chip-level round trip, no bank re-profile
+        assert flow.profile_counters.chip_hits >= 1
+        assert flow.profile_counters.bank_misses == 0
         fleet = result.report_for(0)
         assert (fleet.vmin, fleet.fault_rate, fleet.canary_margin) == (
             direct.vmin,
@@ -261,3 +279,49 @@ class TestFleetPopulationDriver:
         )
         assert correlated.scenario_digest is not None
         assert correlated.reports[0].vmin != result.reports[0].vmin
+
+    def test_two_shard_merge_is_bit_identical(self, tmp_path):
+        store = ArtifactCache(root=tmp_path)
+        kwargs = dict(_FLEET, cache=store)
+        reference = run_fleet_population(runner=SweepRunner(workers=1), **kwargs)
+
+        def shard_runner(index):
+            return SweepRunner(
+                workers=1,
+                shard=ShardSpec(index, 2),
+                shard_store=store,
+                sweep_label="fleet-shard-test",
+            )
+
+        with pytest.raises(ShardIncompleteError):  # until shard 1 publishes
+            run_fleet_population(runner=shard_runner(0), **kwargs)
+        merged = run_fleet_population(runner=shard_runner(1), **kwargs)
+        assert [vars(r) for r in merged.reports] == [
+            vars(r) for r in reference.reports
+        ]
+
+    def test_warm_rerun_recomputes_no_fault_map(self, tmp_path):
+        """A fresh cache object over a filled root serves every die's fault
+        maps as one chip-level hit each and stores nothing at all."""
+        cold = run_fleet_population(
+            runner=SweepRunner(workers=1),
+            cache=ArtifactCache(root=tmp_path),
+            **_FLEET,
+        )
+        fault_maps = sorted((tmp_path / "fault-map").glob("*.pkl"))
+        assert len(fault_maps) == _FLEET["dies"] * _FLEET["num_pes"]
+
+        warm_store = ArtifactCache(root=tmp_path)
+        warm_flow = default_flow(seed=SEED, cache=warm_store)
+        warm = run_fleet_population(
+            runner=SweepRunner(workers=1),
+            cache=warm_store,
+            flow=warm_flow,
+            **_FLEET,
+        )
+        assert [vars(r) for r in warm.reports] == [vars(r) for r in cold.reports]
+        assert warm_store.stats.stores == 0
+        assert sorted((tmp_path / "fault-map").glob("*.pkl")) == fault_maps
+        assert warm_flow.profile_counters.chip_hits == _FLEET["dies"]
+        assert warm_flow.profile_counters.chip_misses == 0
+        assert warm_flow.profile_counters.bank_misses == 0

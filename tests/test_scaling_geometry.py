@@ -20,9 +20,12 @@ def cache(tmp_path_factory):
 
 
 KWARGS = dict(
-    workloads=("inversek2j", "synth/ae-i16-b4"),
-    num_pes_values=(2, 8),
-    words_per_bank_values=(16, 128),
+    # a paper benchmark plus one workload from each procedural family
+    # (autoencoder, deep stack, wide fan-in); the geometries span the
+    # capacity wall, placement spill and roomy banks for every workload
+    workloads=("inversek2j", "synth/ae-i16-b4", "synth/mlp-d3-w16", "synth/wide-f96-h8"),
+    num_pes_values=(2, 8, 16),
+    words_per_bank_values=(16, 128, 512),
     num_samples=160,
     epochs=2,
     seed=3,
@@ -36,7 +39,11 @@ def result(cache):
 
 class TestScalingGeometry:
     def test_grid_shape_and_order(self, result):
-        assert len(result.points) == 2 * 2 * 2
+        assert len(result.points) == (
+            len(KWARGS["workloads"])
+            * len(KWARGS["num_pes_values"])
+            * len(KWARGS["words_per_bank_values"])
+        )
         assert [
             (p.workload, p.num_pes, p.words_per_bank) for p in result.points
         ] == [
@@ -59,7 +66,8 @@ class TestScalingGeometry:
             assert len(errors) == 1
 
     def test_cycles_drop_with_more_pes(self, result):
-        for name in KWARGS["workloads"]:
+        # the workloads that fit a 2-PE ring of 128-word banks
+        for name in ("inversek2j", "synth/ae-i16-b4"):
             fitting = [p for p in result.points_for(name) if p.fits]
             by_geometry = {(p.num_pes, p.words_per_bank): p for p in fitting}
             few = by_geometry.get((2, 128))
@@ -122,10 +130,8 @@ class TestScalingGeometry:
                 sweep_label="test-scaling-shard",
             )
 
-        try:
+        with pytest.raises(ShardIncompleteError):  # until shard 1 publishes
             run_scaling_geometry(runner=shard_runner(0), cache=cache, **KWARGS)
-        except ShardIncompleteError:
-            pass  # expected until the other shard publishes
         merged = run_scaling_geometry(runner=shard_runner(1), cache=cache, **KWARGS)
         reference_rows = [vars(p) for p in result.points]
         merged_rows = [vars(p) for p in merged.points]

@@ -278,31 +278,40 @@ class TestShardedDriver:
     def test_fig9a_two_shards_match_unsharded(self, tmp_path):
         from repro.experiments import run_fig9a
 
-        voltages = np.array([0.42, 0.46, 0.50, 0.54])
-        kwargs = dict(voltages=voltages, num_words=128)
+        voltages = np.arange(0.40, 0.561, 0.02)
+        kwargs = dict(voltages=voltages, num_words=1024)
         reference = run_fig9a(runner=SweepRunner(workers=1), **kwargs)
 
+        def rows(result):
+            return [
+                (p.voltage, p.measured_rate, p.predicted_rate, p.word_rate)
+                for p in result.points
+            ]
+
         store = ArtifactCache(root=tmp_path)
-        results = {}
-        for index in range(2):
-            runner = SweepRunner(
+
+        def shard_runner(index):
+            return SweepRunner(
                 workers=1,
                 shard=ShardSpec(index, 2),
                 shard_store=store,
                 sweep_label="fig9a-test",
             )
-            try:
-                results[index] = run_fig9a(runner=runner, **kwargs)
-            except ShardIncompleteError:
-                results[index] = None
-        merged = next(r for r in (results[1], results[0]) if r is not None)
-        assert [
-            (p.voltage, p.measured_rate, p.predicted_rate, p.word_rate)
-            for p in merged.points
-        ] == [
-            (p.voltage, p.measured_rate, p.predicted_rate, p.word_rate)
-            for p in reference.points
-        ]
+
+        # shard sizes are a property of the task content hash (fig9a's grid is
+        # expand_grid(voltages, seed=3)), not of list order
+        tasks = expand_grid(voltages=[float(v) for v in voltages], seed=3)
+        sizes = [len(ShardSpec(i, 2).partition(tasks)) for i in range(2)]
+        assert sizes[0] > 0 and sizes[1] > 0
+
+        with pytest.raises(ShardIncompleteError) as info:
+            run_fig9a(runner=shard_runner(0), **kwargs)
+        assert info.value.completed == sizes[0]
+        assert rows(run_fig9a(runner=shard_runner(1), **kwargs)) == rows(reference)
+        # a re-run of shard 0 is now a pure cache merge: zero recomputation
+        rerun = shard_runner(0)
+        assert rows(run_fig9a(runner=rerun, **kwargs)) == rows(reference)
+        assert rerun.tasks_run == 0
 
     def test_fig12_rejects_sharding(self):
         from repro.experiments.fig12_temperature import run_fig12

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.accelerator import NOMINAL_OPERATING_POINT, Snnac, SnnacConfig
@@ -98,23 +98,70 @@ class TestCorrelatedVminModel:
     @settings(max_examples=20, deadline=None)
     @given(
         row=st.floats(0.0, 0.45),
+        column_group=st.floats(0.0, 0.45),
         region=st.floats(0.0, 0.45),
     )
-    def test_marginals_preserved_for_any_strengths(self, row, region):
+    def test_marginals_preserved_for_any_strengths(self, row, column_group, region):
         """For any strengths in [0, 1) the per-cell marginal distribution
-        matches the i.i.d. base.  Sampled across many populations (distinct
-        seeds) so shared components average out; a single population's
-        cross-sectional std is biased low under shared components."""
-        base = GaussianVminModel()
-        model = CorrelatedVminModel(base=base, row=row, region=region)
-        cells = np.concatenate(
-            [
-                model.sample(32, 16, np.random.default_rng(s)).vmin_read.ravel()
-                for s in range(24)
-            ]
+        matches the i.i.d. base, for the analytic and the empirical base.
+        Sampled across many populations (distinct seeds) so shared components
+        average out; a single population's cross-sectional std is biased low
+        under shared components."""
+        assume(row + column_group + region < 0.95)
+
+        def cells(model):
+            return np.concatenate(
+                [
+                    model.sample(32, 16, np.random.default_rng(s)).vmin_read.ravel()
+                    for s in range(24)
+                ]
+            )
+
+        gaussian = GaussianVminModel()
+        correlated = cells(
+            CorrelatedVminModel(
+                base=gaussian, row=row, column_group=column_group, region=region
+            )
         )
-        assert cells.mean() == pytest.approx(base.mean, abs=4e-3)
-        assert cells.std() == pytest.approx(base.sigma, rel=0.12)
+        assert correlated.mean() == pytest.approx(gaussian.mean, abs=4e-3)
+        assert correlated.std() == pytest.approx(gaussian.sigma, rel=0.12)
+        # the empirical base has no closed-form moments: compare with its
+        # own i.i.d. populations over the same seeds
+        empirical = EmpiricalVminModel()
+        iid = cells(empirical)
+        correlated = cells(
+            CorrelatedVminModel(
+                base=empirical, row=row, column_group=column_group, region=region
+            )
+        )
+        assert correlated.mean() == pytest.approx(iid.mean(), abs=4e-3)
+        assert correlated.std() == pytest.approx(iid.std(), rel=0.12)
+
+    def test_mixed_shape_preserves_empirical_marginals(self):
+        """The ``mixed`` 0.6 scenario (row 0.3, column group 0.15, region
+        0.15) on the empirical base, over 30 populations of 64x16 cells: the
+        per-cell mean stays within 2 mV and the std within 10% of the
+        base's own i.i.d. populations."""
+        base = EmpiricalVminModel()
+        spec = CorrelationSpec.from_shape("mixed", 0.6)
+        correlated = CorrelatedVminModel(
+            base=base,
+            row=spec.row,
+            column_group=spec.column_group,
+            region=spec.region,
+        )
+
+        def cells(model):
+            return np.concatenate(
+                [
+                    model.sample(64, 16, np.random.default_rng(s)).vmin_read.ravel()
+                    for s in range(30)
+                ]
+            )
+
+        iid, mixed = cells(base), cells(correlated)
+        assert abs(mixed.mean() - iid.mean()) < 0.002
+        assert 0.9 < mixed.std() / iid.std() < 1.1
 
 
 class TestCorrelationSpec:
@@ -357,7 +404,7 @@ class TestVariationScenariosDriver:
         cache = ArtifactCache(root=tmp_path_factory.mktemp("variation-cache"))
         return run_variation_scenarios(
             benchmarks=("inversek2j",),
-            shapes=("iid", "region"),
+            shapes=("iid", "region", "mixed"),
             strengths=(0.5,),
             num_dies=4,
             num_pes=4,
@@ -373,13 +420,19 @@ class TestVariationScenariosDriver:
         assert [(p.shape, p.strength) for p in result.points] == [
             ("iid", 0.0),
             ("region", 0.5),
+            ("mixed", 0.5),
         ]
-        assert len({p.scenario_digest for p in result.points}) == 2
+        assert len({p.scenario_digest for p in result.points}) == 3
 
     def test_correlation_shifts_measurables(self, result):
-        iid, region = result.points
-        assert region.row_autocorrelation > iid.row_autocorrelation
-        assert region.vmin_std > iid.vmin_std
+        iid, region, mixed = result.points
+        for point in (region, mixed):
+            assert point.row_autocorrelation > iid.row_autocorrelation
+            assert point.vmin_std > iid.vmin_std
+        # mixed puts half its strength on the row component, so its row
+        # clustering clears the sampling noise of an i.i.d. map (|r| < 0.02)
+        # by a wide margin, not just by luck of the differently seeded dies
+        assert mixed.row_autocorrelation > iid.row_autocorrelation + 0.05
 
     def test_deployment_measured(self, result):
         for point in result.points:
@@ -390,7 +443,7 @@ class TestVariationScenariosDriver:
 
     def test_rendering(self, result):
         text = result.to_experiment_result().to_text()
-        assert "iid" in text and "region" in text
+        assert "iid" in text and "region" in text and "mixed" in text
 
     def test_shard_merge_bit_identical(self, tmp_path):
         from repro.experiments.engine import ShardIncompleteError, ShardSpec, SweepRunner
@@ -404,7 +457,8 @@ class TestVariationScenariosDriver:
             num_dies=3,
             num_pes=2,
             words_per_bank=64,
-            measure_error=False,
+            num_samples=200,
+            adaptive_epochs=2,
             seed=5,
             cache=store,
         )
@@ -430,6 +484,8 @@ class TestVariationScenariosDriver:
             ),
             **kwargs,
         )
+        # the deployment half (naive/adaptive error, canary regions) ran too
+        assert all(p.adaptive_error is not None for p in reference.points)
         assert [vars(p) for p in merged.points] == [
             vars(p) for p in reference.points
         ]
